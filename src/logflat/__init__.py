@@ -5,10 +5,14 @@ them) with fractions.Fraction; there is no floating point anywhere.
 
 Modules
 -------
-multipoly, univariate, matrices, cyclotomic
-    Exact polynomial and linear algebra: graded-lex multivariate
-    polynomials, primitive-PRS gcd, fraction-free determinants, and
-    arithmetic in cyclotomic quotient rings.
+multipoly, univariate, cyclotomic
+    Exact polynomials: graded-lex multivariate polynomials, primitive-PRS
+    gcd, dense univariate helpers, and arithmetic in cyclotomic quotient
+    rings.
+matrices
+    The one matrix core: rational elimination, plus matrix arithmetic and
+    fraction-free (Bareiss) determinants over any of the coefficient rings
+    (rationals, polynomials, Laurent polynomials, cyclotomic numbers).
 saito
     Logarithmic vector fields, Saito's freeness criterion, weighted
     homogeneity, flatness of connection matrices in a frame of fields,
@@ -20,9 +24,10 @@ filtrations
     Decreasing Z-filtrations, simultaneous splitting with adapted-basis
     witnesses or NotSplittable certificates, toric extendability.
 laurent, bilaurent, birkhoff
-    Laurent matrix algebra, Birkhoff factorization, splitting types on the
-    projective line with a section-counting oracle, and equivariant
-    splitting on weighted-circle quotients.
+    Laurent polynomials in one and two variables, Laurent matrix inverses,
+    Birkhoff factorization, splitting types on the projective line with a
+    section-counting oracle, and equivariant splitting on weighted-circle
+    quotients.
 extend
     Gluing chart-wise logarithmic connections on the punctured plane into
     global polynomial connections, plus a corpus generator.

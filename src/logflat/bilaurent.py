@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import matrices as qm
 from .laurent import LaurentPoly
 from .multipoly import MultiPoly, _as_fraction
 
@@ -58,6 +59,9 @@ class BiLaurent:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_polynomial(self) -> bool:
         return all(ex >= 0 and ey >= 0 for ex, ey in self.terms)
@@ -160,48 +164,14 @@ class BiLaurent:
 
 # -- matrices ------------------------------------------------------------
 
-def bmat_identity(n: int) -> list:
-    return [[BiLaurent.constant(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def bmat_from_multipoly(m: list) -> list:
-    return [[BiLaurent.from_multipoly(p) for p in row] for row in m]
-
-
 def bmat_from_laurent(m: list, zx: int, zy: int) -> list:
     return [[BiLaurent.from_laurent(p, zx, zy) for p in row] for row in m]
 
 
-def bmat_add(a: list, b: list) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def bmat_sub(a: list, b: list) -> list:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
+# A named function, not an alias of qm.mat_mul, so that per-function
+# profiling (perfbench/tracer.py) books bi-Laurent products on their own.
 def bmat_mul(a: list, b: list) -> list:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[BiLaurent() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            if a[i][t].is_zero():
-                continue
-            for j in range(m):
-                out[i][j] = out[i][j] + a[i][t] * b[t][j]
-    return out
-
-
-def bmat_scale(a: list, c) -> list:
-    return [[x * c for x in row] for row in a]
-
-
-def bmat_eq(a: list, b: list) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def bmat_is_zero(a: list) -> bool:
-    return all(x.is_zero() for row in a for x in row)
+    return qm.mat_mul(a, b)
 
 
 def bmat_diag_monomial(exponents, var: str) -> list:

@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from . import matrices as qm
-from .laurent import (LaurentPoly, Transition, lmat_det, lmat_eq,
-                      lmat_identity, lmat_inverse, lmat_mul)
+from .laurent import (LaurentPoly, Transition, lmat_det, lmat_identity,
+                      lmat_inverse, lmat_mul)
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,7 @@ def birkhoff_factorize(t: Transition) -> BirkhoffFactors:
 
 
 def _verify_factorization(t: Transition, f: BirkhoffFactors):
-    pm = [list(r) for r in f.pminus]
-    pp = [list(r) for r in f.pplus]
+    pm, pp = f.pminus, f.pplus
     for row in pm:
         for p in row:
             if not p.is_antipolynomial():
@@ -142,8 +141,7 @@ def _verify_factorization(t: Transition, f: BirkhoffFactors):
             raise AssertionError("unimodular factor has non-constant determinant")
     if sum(f.diag) != t.det_exp:
         raise AssertionError("diagonal exponents do not sum to the det exponent")
-    if not lmat_eq(lmat_mul(lmat_mul(pm, f.d_matrix(t.var)), pp),
-                   [list(r) for r in t.matrix]):
+    if not qm.mat_eq(lmat_mul(lmat_mul(pm, f.d_matrix(t.var)), pp), t.matrix):
         raise AssertionError("reconstruction Pminus*D*Pplus != T failed")
 
 

@@ -265,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit only the JSON certificate")
         p.add_argument("--oracle", action="store_true",
                        help="enable independent cross-check oracles")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks")
         if name == "castle":
             p.add_argument("--chain", type=int, default=None, metavar="N",
                            help="iterate the transform N times, rebasing each step")

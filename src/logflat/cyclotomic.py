@@ -43,10 +43,6 @@ def cyclotomic_upoly(d: int) -> tuple:
     return tuple(num)
 
 
-def cyclotomic_poly(d: int, var: str = "t") -> MultiPoly:
-    return uv.to_multipoly(list(cyclotomic_upoly(d)), var)
-
-
 def candidate_orders(deg: int) -> list[int]:
     """Orders d with phi(d) <= deg and d <= 2*deg^2, ascending."""
     if deg < 1:
@@ -151,6 +147,9 @@ class CycloNum:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def __eq__(self, other):
         try:
             o = self._coerce(other)
@@ -173,42 +172,6 @@ def cmat_from_rational(m: int, a) -> list:
 
 def cmat_identity(m: int, n: int) -> list:
     return [[CycloNum.rational(m, int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def cmat_zeros(m: int, n: int) -> list:
-    return [[CycloNum.rational(m, 0) for _ in range(n)] for _ in range(n)]
-
-
-def cmat_mul(a: list, b: list) -> list:
-    n, k, mm = len(a), len(b), len(b[0])
-    out = [[a[0][0] * 0 for _ in range(mm)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            if a[i][t].is_zero():
-                continue
-            for j in range(mm):
-                out[i][j] = out[i][j] + a[i][t] * b[t][j]
-    return out
-
-
-def cmat_add(a: list, b: list) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def cmat_sub(a: list, b: list) -> list:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def cmat_scale(a: list, c: CycloNum) -> list:
-    return [[x * c for x in row] for row in a]
-
-
-def cmat_eq(a: list, b: list) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def cmat_is_zero(a: list) -> bool:
-    return all(x.is_zero() for row in a for x in row)
 
 
 def lcm(values) -> int:

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .bilaurent import (BiLaurent, bmat_add, bmat_diag_monomial, bmat_eq,
-                        bmat_from_laurent, bmat_from_multipoly, bmat_identity,
-                        bmat_mul, bmat_sub)
+from .bilaurent import (BiLaurent, bmat_diag_monomial, bmat_from_laurent,
+                        bmat_mul)
 from .birkhoff import birkhoff_factorize
 from .laurent import LaurentPoly, Transition, lmat_identity, lmat_inverse, lmat_mul
 from .multipoly import MultiPoly, normalize
@@ -86,19 +85,19 @@ def _apply_field(coeffs, m: list) -> list:
 def _gauge(omega: list, g: list, g_inv: list, field_coeffs) -> list:
     """G^{-1} Omega G + G^{-1} xi(G): the connection matrix in the frame
     (old frame) . G."""
-    return bmat_add(bmat_mul(bmat_mul(g_inv, omega), g),
-                    bmat_mul(g_inv, _apply_field(field_coeffs, g)))
+    return qm.mat_add(bmat_mul(bmat_mul(g_inv, omega), g),
+                      bmat_mul(g_inv, _apply_field(field_coeffs, g)))
 
 
 def _flat_bilaurent(omega_e, omega_d, fields_bl, w: Fraction) -> bool:
     """w Omega_delta = E(Omega_delta) - delta(Omega_E) + [Omega_E, Omega_delta],
     over two-variable Laurent polynomials."""
     e_coeffs, d_coeffs = fields_bl
-    lhs = [[entry * w for entry in row] for row in omega_d]
-    rhs = bmat_sub(_apply_field(e_coeffs, omega_d), _apply_field(d_coeffs, omega_e))
-    rhs = bmat_add(rhs, bmat_sub(bmat_mul(omega_e, omega_d),
-                                 bmat_mul(omega_d, omega_e)))
-    return bmat_eq(lhs, rhs)
+    lhs = qm.mat_scale(omega_d, w)
+    rhs = qm.mat_sub(_apply_field(e_coeffs, omega_d), _apply_field(d_coeffs, omega_e))
+    rhs = qm.mat_add(rhs, qm.mat_sub(bmat_mul(omega_e, omega_d),
+                                     bmat_mul(omega_d, omega_e)))
+    return qm.mat_eq(lhs, rhs)
 
 
 def _rational_eigenvalues(m) -> bool:
@@ -186,9 +185,9 @@ def extend_connection(data: ConnectionData) -> ExtendedConnection:
     t_bl = bmat_from_laurent(data.transition.matrix, zx, zy)
     t_inv_bl = bmat_from_laurent(lmat_inverse(data.transition.matrix), zx, zy)
     for k, coeffs in enumerate(fields_bl):
-        expected = bmat_add(bmat_mul(bmat_mul(t_inv_bl, data.omega_x[k]), t_bl),
-                            bmat_mul(t_inv_bl, _apply_field(coeffs, t_bl)))
-        if not bmat_eq(expected, data.omega_y[k]):
+        expected = qm.mat_add(bmat_mul(bmat_mul(t_inv_bl, data.omega_x[k]), t_bl),
+                              bmat_mul(t_inv_bl, _apply_field(coeffs, t_bl)))
+        if not qm.mat_eq(expected, data.omega_y[k]):
             raise ValueError(f"charts are incompatible across the transition "
                              f"(frame field {k})")
         for xv, yv in _SAMPLE_POINTS:
@@ -222,7 +221,7 @@ def extend_connection(data: ConnectionData) -> ExtendedConnection:
     for k, coeffs in enumerate(fields_bl):
         from_x = _gauge(data.omega_x[k], gx, gx_inv, coeffs)
         from_y = _gauge(data.omega_y[k], gy, gy_inv, coeffs)
-        if not bmat_eq(from_x, from_y):
+        if not qm.mat_eq(from_x, from_y):
             raise AssertionError("the two chart regaugings disagree")
         if not all(entry.is_polynomial() for row in from_x for entry in row):
             raise AssertionError("regauged connection matrix is not polynomial")
@@ -328,10 +327,10 @@ def generate_connection_corpus(divisor: str, count: int, seed: int = 0):
         omega_x, omega_y = [], []
         for k, coeffs in enumerate(fields_bl):
             # inverse of the regauging: chart matrix from the global one
-            ox = bmat_sub(bmat_mul(bmat_mul(gx, glob[k]), gx_inv),
-                          bmat_mul(_apply_field(coeffs, gx), gx_inv))
-            oy = bmat_sub(bmat_mul(bmat_mul(gy, glob[k]), gy_inv),
-                          bmat_mul(_apply_field(coeffs, gy), gy_inv))
+            ox = qm.mat_sub(bmat_mul(bmat_mul(gx, glob[k]), gx_inv),
+                            bmat_mul(_apply_field(coeffs, gx), gx_inv))
+            oy = qm.mat_sub(bmat_mul(bmat_mul(gy, glob[k]), gy_inv),
+                            bmat_mul(_apply_field(coeffs, gy), gy_inv))
             omega_x.append(ox)
             omega_y.append(oy)
         out.append(ConnectionData(p=p, q=q, divisor=f,

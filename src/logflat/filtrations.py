@@ -85,9 +85,6 @@ class Filtration:
     def min_index(self) -> int:
         return self.steps[0][0] if self.steps else 0
 
-    def max_index(self) -> int:
-        return self.steps[-1][0] if self.steps else 0
-
     def critical_indices(self) -> list:
         """Indices at which the subspace can change, plus the sentinel one
         below (full space)."""

@@ -16,9 +16,8 @@ from math import gcd as int_gcd
 
 from . import matrices as qm
 from . import univariate as uv
-from .cyclotomic import (CycloNum, cmat_add, cmat_eq, cmat_from_rational,
-                         cmat_identity, cmat_mul, cmat_scale,
-                         cyclotomic_split_upoly, euler_phi, lcm)
+from .cyclotomic import (CycloNum, cmat_from_rational, cmat_identity,
+                         cyclotomic_split_upoly, lcm)
 from .matrices import (QMatrix, det_rational, eval_poly_at_matrix, identity,
                        is_zero_matrix, mat_add, mat_eq, mat_inv, mat_mul,
                        mat_scale, mat_sub, charpoly, minpoly)
@@ -57,15 +56,6 @@ def jordan_chevalley(m: QMatrix) -> JCPair:
         raise AssertionError("Newton iteration did not converge")
     u = mat_mul(mat_inv(s), m)
     return JCPair(S=s, U=u)
-
-
-def is_unipotent(u: QMatrix) -> bool:
-    n = len(u)
-    nil = mat_sub(u, identity(n))
-    power = identity(n)
-    for _ in range(n):
-        power = mat_mul(power, nil)
-    return is_zero_matrix(power)
 
 
 @dataclass(frozen=True)
@@ -165,27 +155,26 @@ def central_log(s: QMatrix) -> SpectralLog:
         for l, lam_l in enumerate(lambdas):
             if l == j:
                 continue
-            factor = cmat_scale(cmat_add(sc, cmat_scale(ident, -lam_l)),
-                                (lam_j - lam_l).inverse())
-            p = cmat_mul(p, factor)
+            factor = mat_scale(mat_add(sc, mat_scale(ident, -lam_l)),
+                               (lam_j - lam_l).inverse())
+            p = mat_mul(p, factor)
         projectors.append(p)
     # verified identities
-    total = cmat_scale(ident, CycloNum.rational(m, 0))
+    total = mat_scale(ident, CycloNum.rational(m, 0))
     for p in projectors:
-        total = cmat_add(total, p)
-    if not cmat_eq(total, ident):
+        total = mat_add(total, p)
+    if not mat_eq(total, ident):
         raise AssertionError("projectors do not resolve the identity")
     for j in range(len(projectors)):
         for k in range(j + 1, len(projectors)):
-            prod = cmat_mul(projectors[j], projectors[k])
-            if not all(x.is_zero() for row in prod for x in row):
+            if not is_zero_matrix(mat_mul(projectors[j], projectors[k])):
                 raise AssertionError("projectors are not orthogonal")
     for lam, p in zip(lambdas, projectors):
-        if not cmat_eq(cmat_mul(sc, p), cmat_scale(p, lam)):
+        if not mat_eq(mat_mul(sc, p), mat_scale(p, lam)):
             raise AssertionError("eigen-equation S P = lambda P fails")
-    a = cmat_scale(ident, CycloNum.rational(m, 0))
+    a = mat_scale(ident, CycloNum.rational(m, 0))
     for e, p in zip(data.entries, projectors):
-        a = cmat_add(a, cmat_scale(p, CycloNum.rational(m, e.weight)))
+        a = mat_add(a, mat_scale(p, CycloNum.rational(m, e.weight)))
     return SpectralLog(field_order=m, weights=data.entries,
                        projectors=tuple(tuple(tuple(row) for row in p) for p in projectors),
                        matrix=tuple(tuple(row) for row in a))
@@ -275,14 +264,3 @@ def deligne_residue(m: QMatrix, branch: str = "[0,1)"):
         raise ValueError("unknown branch convention")
     return ResiduePair(weights=data, nilpotent=nilpotent_log(jc.U))
 
-
-def is_polynomial_in(s: QMatrix, m: QMatrix) -> bool:
-    """Whether s lies in the span of the powers of m (exact linear check)."""
-    n = len(m)
-    powers = [identity(n)]
-    for _ in range(n * n - 1):
-        powers.append(mat_mul(powers[-1], m))
-    system = qm.transpose([[p[i][j] for i in range(n) for j in range(n)]
-                           for p in powers])
-    target = [s[i][j] for i in range(n) for j in range(n)]
-    return qm.solve(system, target) is not None

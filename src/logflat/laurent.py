@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import matrices as qm
 from .multipoly import _as_fraction
 
 
@@ -33,6 +34,9 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -90,6 +94,28 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    def exact_div(self, d: LaurentPoly) -> LaurentPoly:
+        """Exact quotient self / d; raises ValueError if d does not divide
+        self.  Long division from the top exponent: the quotient's lowest
+        exponent is self.min_exp() - d.min_exp()."""
+        d = self._coerce(d)
+        if d.is_zero():
+            raise ZeroDivisionError("division by zero Laurent polynomial")
+        de = d.max_exp()
+        dc = d.terms[de]
+        floor = self.min_exp() - d.min_exp()
+        rem = self
+        q_terms: dict[int, Fraction] = {}
+        while rem.terms:
+            re = rem.max_exp()
+            qe = re - de
+            if qe < floor:
+                raise ValueError("not an exact division")
+            qc = rem.terms[re] / dc
+            q_terms[qe] = qc
+            rem = rem - LaurentPoly(self.var, {qe: qc}) * d
+        return LaurentPoly(self.var, q_terms)
+
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by z^k."""
         return LaurentPoly(self.var, {e + k: c for e, c in self.terms.items()})
@@ -141,41 +167,15 @@ def lmat_identity(n: int, var: str = "z") -> list:
     return [[LaurentPoly.constant(int(i == j), var) for j in range(n)] for i in range(n)]
 
 
-def lmat_zero(n: int, var: str = "z") -> list:
-    return [[LaurentPoly(var) for _ in range(n)] for _ in range(n)]
-
-
+# lmat_mul and lmat_det are named functions, not aliases of the generic ones,
+# so that per-function profiling (perfbench/tracer.py) books Laurent work
+# apart from rational and polynomial work.
 def lmat_mul(a: list, b: list) -> list:
-    n, k, m = len(a), len(b), len(b[0])
-    var = a[0][0].var
-    out = [[LaurentPoly(var) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            if a[i][t].is_zero():
-                continue
-            for j in range(m):
-                out[i][j] = out[i][j] + a[i][t] * b[t][j]
-    return out
-
-
-def lmat_eq(a: list, b: list) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return qm.mat_mul(a, b)
 
 
 def lmat_det(a: list) -> LaurentPoly:
-    """Determinant by cofactor expansion (desk-scale ranks)."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    var = a[0][0].var
-    total = LaurentPoly(var)
-    for j in range(n):
-        if a[0][j].is_zero():
-            continue
-        minor = [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = a[0][j] * lmat_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    return qm.det_bareiss(a)
 
 
 def lmat_adjugate(a: list) -> list:
@@ -200,7 +200,7 @@ def lmat_inverse(a: list) -> list:
     (e, c), = d.terms.items()
     inv_det = LaurentPoly.monomial(-e, 1 / c, a[0][0].var)
     adj = lmat_adjugate(a)
-    return [[entry * inv_det for entry in row] for row in adj]
+    return qm.mat_scale(adj, inv_det)
 
 
 class Transition:
@@ -222,12 +222,3 @@ class Transition:
     def var(self) -> str:
         return self.matrix[0][0].var
 
-    def total_degree_bound(self) -> int:
-        """Sum over entries of the largest absolute exponent; bounds every
-        splitting-type entry."""
-        total = 0
-        for row in self.matrix:
-            for p in row:
-                if not p.is_zero():
-                    total += max(abs(p.min_exp()), abs(p.max_exp()))
-        return max(total, abs(self.det_exp))

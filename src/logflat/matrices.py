@@ -1,10 +1,15 @@
-"""Exact linear algebra over the rationals and determinants of polynomial
-matrices.
+"""Exact linear algebra over the rationals, and ring-generic matrix
+arithmetic and determinants.
 
-Rational matrices are plain lists of lists of Fraction.  Polynomial
-matrices carry MultiPoly entries; their determinant is computed by
-fraction-free (Bareiss) elimination, with cofactor expansion kept as an
-independent cross-check for small dimensions.
+Matrices are row-major sequences of rows (lists or tuples).  Elimination
+(rref, rank, solve, inverses) works over the rationals on Fraction entries.
+The helpers mat_add, mat_sub, mat_mul, mat_scale, mat_eq, is_zero_matrix,
+commutator, det_bareiss and det_cofactor work over any commutative ring
+whose elements support + - * and ==, and whose truth value is false
+exactly for zero: Fraction, MultiPoly, LaurentPoly, BiLaurent, CycloNum.
+det_bareiss divides exactly with the elements' exact_div, so it needs an
+integral domain (MultiPoly, LaurentPoly); det_cofactor, exponential, is
+kept only as an independent oracle for it.
 """
 from __future__ import annotations
 
@@ -38,17 +43,17 @@ def mat_sub(a: QMatrix, b: QMatrix) -> QMatrix:
 
 
 def mat_scale(a: QMatrix, c) -> QMatrix:
-    c = _as_fraction(c)
     return [[x * c for x in row] for row in a]
 
 
 def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
+    zero = a[0][0] * 0
+    out = [[zero] * m for _ in range(n)]
     for i in range(n):
         for t in range(k):
             ait = a[i][t]
-            if ait == 0:
+            if not ait:
                 continue
             bt = b[t]
             oi = out[i]
@@ -58,11 +63,11 @@ def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
 
 
 def mat_eq(a: QMatrix, b: QMatrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+    return len(a) == len(b) and all(tuple(ra) == tuple(rb) for ra, rb in zip(a, b))
 
 
 def is_zero_matrix(a: QMatrix) -> bool:
-    return all(c == 0 for row in a for c in row)
+    return not any(c for row in a for c in row)
 
 
 def commutator(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -242,9 +247,9 @@ def eval_poly_at_matrix(p: MultiPoly, a: QMatrix) -> QMatrix:
     return out
 
 
-# -- polynomial matrices ------------------------------------------------
+# -- ring-generic determinants ------------------------------------------
 
-def det_cofactor(m: list[list[MultiPoly]]) -> MultiPoly:
+def det_cofactor(m):
     """Determinant by cofactor expansion along the first row.  Exponential;
     intended as an independent oracle for small dimensions."""
     n = len(m)
@@ -252,10 +257,9 @@ def det_cofactor(m: list[list[MultiPoly]]) -> MultiPoly:
         raise ValueError("empty matrix")
     if n == 1:
         return m[0][0]
-    variables = m[0][0].vars
-    total = MultiPoly.zero(variables)
+    total = m[0][0] * 0
     for j in range(n):
-        if m[0][j].is_zero():
+        if not m[0][j]:
             continue
         minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
         term = m[0][j] * det_cofactor(minor)
@@ -263,35 +267,26 @@ def det_cofactor(m: list[list[MultiPoly]]) -> MultiPoly:
     return total
 
 
-def det_bareiss(m: list[list[MultiPoly]]) -> MultiPoly:
-    """Fraction-free (Bareiss) determinant over the polynomial ring."""
+def det_bareiss(m):
+    """Fraction-free (Bareiss) determinant over an integral domain whose
+    elements provide exact_div."""
     n = len(m)
     if n == 0:
         raise ValueError("empty matrix")
-    variables = m[0][0].vars
-    a = [row[:] for row in m]
+    a = [list(row) for row in m]
     sign = 1
-    prev = MultiPoly.constant(variables, 1)
+    prev = None
     for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
             if pivot is None:
-                return MultiPoly.zero(variables)
+                return m[0][0] * 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-        for i in range(k + 1, n):
-            a[i][k] = MultiPoly.zero(variables)
+                a[i][j] = num if prev is None else num.exact_div(prev)
         prev = a[k][k]
     result = a[n - 1][n - 1]
     return result if sign == 1 else -result
-
-
-def det(m: list[list[MultiPoly]]) -> MultiPoly:
-    """Exact determinant of a square MultiPoly matrix (Bareiss)."""
-    if any(len(row) != len(m) for row in m):
-        raise ValueError("matrix is not square")
-    return det_bareiss(m)

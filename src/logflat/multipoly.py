@@ -76,6 +76,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 

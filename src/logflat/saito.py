@@ -232,31 +232,6 @@ class LogConnection:
                 raise ValueError("Omega matrices must be rank x rank")
 
 
-def _pm_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def _pm_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def _pm_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    vs = a[0][0].vars
-    out = [[MultiPoly.zero(vs) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            if a[i][t].is_zero():
-                continue
-            for j in range(m):
-                out[i][j] = out[i][j] + a[i][t] * b[t][j]
-    return out
-
-def _pm_scale(a, p: MultiPoly):
-    return [[x * p for x in row] for row in a]
-
-def _pm_is_zero(a):
-    return all(x.is_zero() for row in a for x in row)
-
-
 @dataclass(frozen=True)
 class FlatnessResult:
     flat: bool
@@ -277,12 +252,11 @@ def flatness_check(conn: LogConnection) -> FlatnessResult:
         lhs = [[MultiPoly.zero(vs) for _ in range(conn.rank)] for _ in range(conn.rank)]
         for k, c in enumerate(coeffs):
             if not c.is_zero():
-                lhs = _pm_add(lhs, _pm_scale(conn.omegas[k], c))
-        rhs = _pm_sub(fields[i].apply_matrix(conn.omegas[j]),
-                      fields[j].apply_matrix(conn.omegas[i]))
-        rhs = _pm_add(rhs, _pm_sub(_pm_mul(conn.omegas[i], conn.omegas[j]),
-                                   _pm_mul(conn.omegas[j], conn.omegas[i])))
-        if not _pm_is_zero(_pm_sub(lhs, rhs)):
+                lhs = qm.mat_add(lhs, qm.mat_scale(conn.omegas[k], c))
+        rhs = qm.mat_sub(fields[i].apply_matrix(conn.omegas[j]),
+                         fields[j].apply_matrix(conn.omegas[i]))
+        rhs = qm.mat_add(rhs, qm.commutator(conn.omegas[i], conn.omegas[j]))
+        if not qm.is_zero_matrix(qm.mat_sub(lhs, rhs)):
             return FlatnessResult(False, (i, j))
     return FlatnessResult(True)
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 from fractions import Fraction
 
+from . import __version__
 from .bilaurent import BiLaurent
 from .castling import PrehomDescriptor
 from .extend import ConnectionData
@@ -21,7 +22,7 @@ from .multipoly import MultiPoly
 from .saito import LogConnection, SaitoSystem, VectorField
 
 SCHEMA = 1
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 
 class FormatError(ValueError):
@@ -173,13 +174,6 @@ def saito_system_from_json(data) -> SaitoSystem:
     return SaitoSystem(tuple(fields), divisor)
 
 
-def log_connection_to_json(conn: LogConnection) -> dict:
-    doc = saito_system_to_json(conn.system)
-    doc["omegas"] = [pmat_to_json(om) for om in conn.omegas]
-    doc["rank"] = conn.rank
-    return doc
-
-
 def log_connection_from_json(data) -> LogConnection:
     _require(data, "omegas")
     system = saito_system_from_json(data)
@@ -207,25 +201,12 @@ def filtrations_from_json(data) -> list:
     return out
 
 
-def filtrations_to_json(filtrations) -> dict:
-    doc = {"schema": SCHEMA, "dim": filtrations[0].dim, "filtrations": []}
-    for f in filtrations:
-        doc["filtrations"].append(
-            [{"j": j, "basis": qmat_to_json(f.subspace(j))}
-             for j in f.critical_indices()])
-    return doc
-
-
 def transition_from_json(data) -> Transition:
     _require(data, "transition")
     try:
         return Transition(lmat_from_json(data["transition"]))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def transition_to_json(t: Transition) -> dict:
-    return {"schema": SCHEMA, "transition": lmat_to_json(t.matrix)}
 
 
 def connection_data_to_json(data: ConnectionData) -> dict:

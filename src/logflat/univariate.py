@@ -115,14 +115,6 @@ def uext_gcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
     return umonic(r0), uscale(s0, 1 / lc), uscale(t0, 1 / lc)
 
 
-def ueval(a: UPoly, x) -> Fraction:
-    x = _as_fraction(x)
-    total = Fraction(0)
-    for c in reversed(a):
-        total = total * x + c
-    return total
-
-
 def usquarefree(a: UPoly) -> UPoly:
     """Monic squarefree part a / gcd(a, a')."""
     if not a:

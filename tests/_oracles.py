@@ -35,6 +35,27 @@ def grid_candidates(dim, bound=1):
     return out
 
 
+def is_unipotent(u):
+    n = len(u)
+    nil = qm.mat_sub(u, qm.identity(n))
+    power = qm.identity(n)
+    for _ in range(n):
+        power = qm.mat_mul(power, nil)
+    return qm.is_zero_matrix(power)
+
+
+def is_polynomial_in(s, m):
+    """Whether s lies in the span of the powers of m (exact linear check)."""
+    n = len(m)
+    powers = [qm.identity(n)]
+    for _ in range(n * n - 1):
+        powers.append(qm.mat_mul(powers[-1], m))
+    system = qm.transpose([[p[i][j] for i in range(n) for j in range(n)]
+                           for p in powers])
+    target = [s[i][j] for i in range(n) for j in range(n)]
+    return qm.solve(system, target) is not None
+
+
 def exhaustive_adapted_basis(filtrations, candidates):
     """Exhaustive search for an adapted basis among the candidate vectors.
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from logflat import matrices as qm
 from logflat.birkhoff import (EquivariantTransition, birkhoff_factorize,
                               football_split, splitting_type,
                               splitting_type_rank_oracle)
@@ -68,6 +69,41 @@ def test_laurent_inverse_roundtrip():
         prod = lmat_mul(t.matrix, inv)
         assert prod[0][1].is_zero() and prod[1][0].is_zero()
         assert prod[0][0] == LaurentPoly.constant(1)
+
+
+def test_laurent_exact_div():
+    rng = random.Random(61)
+    for _ in range(20):
+        q = lp({rng.randrange(-4, 3): rng.randrange(1, 4) for _ in range(3)})
+        d = lp({rng.randrange(-3, 3): rng.randrange(-3, 4) or 1 for _ in range(3)})
+        assert (q * d).exact_div(d) == q
+    with pytest.raises(ValueError):
+        lp({-1: 1, 0: 1}).exact_div(lp({-2: 1, 0: 1}))
+    with pytest.raises(ZeroDivisionError):
+        lp({-1: 1}).exact_div(zero())
+
+
+def test_lmat_det_matches_cofactor():
+    rng = random.Random(62)
+
+    def entry():
+        if rng.random() < 0.3:
+            return zero()
+        return lp({rng.randrange(-2, 3): rng.randrange(-2, 3) for _ in range(2)})
+
+    cases = []
+    for n in range(1, 6):
+        for _ in range(3 if n < 5 else 1):
+            cases.append([[entry() for _ in range(n)] for _ in range(n)])
+    pivot_swap = [[entry() for _ in range(4)] for _ in range(4)]
+    pivot_swap[0][0] = zero()
+    pivot_swap[1][0] = mono(-1, 2)
+    singular = [[entry() for _ in range(4)] for _ in range(3)]
+    singular.append([x + y for x, y in zip(singular[0], singular[1])])
+    cases += [pivot_swap, singular]
+    for a in cases:
+        assert lmat_det(a) == qm.det_cofactor(a)
+    assert lmat_det(singular).is_zero()
 
 
 def test_transition_rejects_singular():

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from logflat.bilaurent import BiLaurent, bmat_identity
+from logflat import matrices as qm
+from logflat.bilaurent import BiLaurent
 from logflat.extend import (DIVISORS, ConnectionData, extend_connection,
                             frame_fields, generate_connection_corpus)
 from logflat.laurent import LaurentPoly, Transition
@@ -70,14 +71,14 @@ def test_extension_gauge_identity_holds():
     # transition in (x, y) form; verified at sample points by re-gluing
     from math import gcd
 
-    from logflat.bilaurent import bmat_eq, bmat_from_laurent, bmat_mul
+    from logflat.bilaurent import bmat_from_laurent, bmat_mul
     corpus = generate_connection_corpus("cross", 4, seed=9)
     for data in corpus:
         ext = extend_connection(data)
         gg = gcd(data.p, data.q)
         t_bl = bmat_from_laurent(data.transition.matrix,
                                  -data.q // gg, data.p // gg)
-        assert bmat_eq(ext.gauge_x, bmat_mul(t_bl, ext.gauge_y))
+        assert qm.mat_eq(ext.gauge_x, bmat_mul(t_bl, ext.gauge_y))
 
 
 def test_rejects_incompatible_charts():

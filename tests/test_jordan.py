@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import is_polynomial_in, is_unipotent
 from logflat import matrices as qm
 from logflat.cyclotomic import CycloNum, cmat_from_rational, cmat_identity
 from logflat.jordan import (NotQuasiUnipotent, central_log, deligne_residue,
-                            is_polynomial_in, is_unipotent, jordan_chevalley,
-                            matrix_exp_nilpotent, nilpotent_log,
+                            jordan_chevalley, matrix_exp_nilpotent, nilpotent_log,
                             quasi_unipotent_weights, well_behaved_check)
 from logflat.univariate import from_multipoly, is_squarefree
 

@@ -1,9 +1,18 @@
 """Exact rational linear algebra and fraction-free polynomial determinants,
 with the cofactor expansion as an independent oracle."""
+import importlib
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+from logflat import bilaurent, laurent
 from logflat import matrices as qm
+from logflat.bilaurent import BiLaurent
+from logflat.cyclotomic import CycloNum
+from logflat.laurent import LaurentPoly
 from logflat.multipoly import MultiPoly
 
 
@@ -105,3 +114,72 @@ def test_in_row_space():
     a = qm.qmat([[1, 1, 0], [0, 0, 1]])
     assert qm.in_row_space([Fraction(2), Fraction(2), Fraction(-1)], a)
     assert not qm.in_row_space([Fraction(1), Fraction(0), Fraction(0)], a)
+
+
+RING_ELEMENTS = {
+    "Fraction": lambda rng: Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)),
+    "MultiPoly": lambda rng: MultiPoly(("x", "y"), {
+        (rng.randrange(3), rng.randrange(3)): rng.randrange(-2, 3) for _ in range(2)}),
+    "LaurentPoly": lambda rng: LaurentPoly("z", {
+        rng.randrange(-2, 3): rng.randrange(-2, 3) for _ in range(2)}),
+    "BiLaurent": lambda rng: BiLaurent({
+        (rng.randrange(-1, 2), rng.randrange(-1, 2)): rng.randrange(-2, 3)
+        for _ in range(2)}),
+    "CycloNum": lambda rng: CycloNum(5, [rng.randrange(-2, 3) for _ in range(5)]),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RING_ELEMENTS))
+def test_generic_matrix_helpers_over_every_ring(ring):
+    rng = random.Random(16)
+    make = RING_ELEMENTS[ring]
+
+    def rand_mat():
+        return [[make(rng) if rng.random() < 0.7 else make(rng) * 0
+                 for _ in range(3)] for _ in range(3)]
+
+    for _ in range(4):
+        a, b, c = rand_mat(), rand_mat(), rand_mat()
+        assert qm.mat_eq(qm.mat_mul(qm.mat_mul(a, b), c),
+                         qm.mat_mul(a, qm.mat_mul(b, c)))
+        assert qm.mat_eq(qm.mat_mul(a, qm.mat_add(b, c)),
+                         qm.mat_add(qm.mat_mul(a, b), qm.mat_mul(a, c)))
+        rows = tuple(tuple(r) for r in a)
+        assert qm.mat_eq(rows, a) and qm.mat_eq(a, rows)
+        assert qm.mat_eq(rows, a[:2]) is False
+        assert qm.is_zero_matrix(qm.mat_sub(a, a))
+        assert qm.is_zero_matrix(qm.mat_scale(b, 0))
+        assert qm.is_zero_matrix(qm.commutator(a, a))
+        assert qm.is_zero_matrix(a) == all(x == 0 for row in a for x in row)
+        for x in [y for row in a for y in row] + [make(rng) * 0]:
+            if ring == "Fraction":
+                assert bool(x) == (x != 0)
+            else:
+                assert bool(x) == (not x.is_zero())
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_observation_points_resolve():
+    """The benchmark's tracer wraps these functions by name and rebinds every
+    attribute holding the same object, so each must exist, and the Laurent
+    and bi-Laurent entry points must stay distinct from the generic core."""
+    tracer = _load_tracer()
+    for module, funcs in tracer.LAYERS.items():
+        mod = importlib.import_module(f"logflat.{module}")
+        for func in funcs:
+            if "." in func:
+                cls_name, meth = func.split(".")
+                cls = getattr(mod, cls_name)
+                assert meth in vars(cls) and callable(getattr(cls, meth)), func
+            else:
+                assert callable(getattr(mod, func)), func
+    assert laurent.lmat_det is not qm.det_bareiss
+    assert laurent.lmat_mul is not qm.mat_mul
+    assert bilaurent.bmat_mul is not qm.mat_mul
