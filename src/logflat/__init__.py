@@ -6,9 +6,9 @@ them) with fractions.Fraction; there is no floating point anywhere.
 Modules
 -------
 multipoly, univariate, cyclotomic
-    Exact polynomials: graded-lex multivariate polynomials, primitive-PRS
-    gcd, dense univariate helpers, and arithmetic in cyclotomic quotient
-    rings.
+    Exact polynomials: one sparse graded-lex class for polynomials and
+    Laurent polynomials in any number of variables, primitive-PRS gcd,
+    dense univariate helpers, and arithmetic in cyclotomic quotient rings.
 matrices
     The one matrix core: rational elimination, plus matrix arithmetic and
     fraction-free (Bareiss) determinants over any of the coefficient rings
@@ -24,8 +24,8 @@ filtrations
     Decreasing Z-filtrations, simultaneous splitting with adapted-basis
     witnesses or NotSplittable certificates, toric extendability.
 laurent, bilaurent, birkhoff
-    Laurent polynomials in one and two variables, Laurent matrix inverses,
-    Birkhoff factorization, splitting types on the projective line with a
+    Matrices of Laurent polynomials in one and two variables, two-chart
+    transitions, Laurent matrix inverses, Birkhoff factorization, splitting types on the projective line with a
     section-counting oracle, and equivariant splitting on weighted-circle
     quotients.
 extend

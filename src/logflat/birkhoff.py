@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from . import matrices as qm
-from .laurent import (LaurentPoly, Transition, lmat_det, lmat_identity,
-                      lmat_inverse, lmat_mul)
+from .laurent import Transition, lmat_det, lmat_identity, lmat_inverse, lmat_mul
+from .multipoly import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class BirkhoffFactors:
 
     def d_matrix(self, var: str = "z") -> list:
         n = len(self.diag)
-        out = [[LaurentPoly(var) for _ in range(n)] for _ in range(n)]
+        out = [[MultiPoly((var,), laurent=True) for _ in range(n)] for _ in range(n)]
         for i, e in enumerate(self.diag):
-            out[i][i] = LaurentPoly.monomial(e, 1, var)
+            out[i][i] = MultiPoly((var,), {(e,): 1}, laurent=True)
         return out
 
 
@@ -95,7 +95,7 @@ def birkhoff_factorize(t: Transition) -> BirkhoffFactors:
         # column k <- sum_j v_j z^{deg_k - deg_j} column j; kills the top
         # coefficient of column k.
         for i in range(n):
-            total = LaurentPoly(var)
+            total = MultiPoly((var,), laurent=True)
             for j in range(n):
                 if v[j] != 0:
                     total = total + m[i][j].shift(degs[k] - degs[j]) * v[j]
@@ -104,10 +104,10 @@ def birkhoff_factorize(t: Transition) -> BirkhoffFactors:
         inv_op = lmat_identity(n, var)
         for j in range(n):
             if j == k:
-                inv_op[j][k] = LaurentPoly.constant(1 / v[k], var)
+                inv_op[j][k] = MultiPoly((var,), {(0,): 1 / v[k]}, laurent=True)
             elif v[j] != 0:
-                inv_op[j][k] = LaurentPoly.monomial(degs[k] - degs[j],
-                                                    -v[j] / v[k], var)
+                inv_op[j][k] = MultiPoly((var,), {(degs[k] - degs[j],): -v[j] / v[k]},
+                                         laurent=True)
         pplus = lmat_mul(inv_op, pplus)
     # m is column-reduced: peel the degrees into D
     pminus = [[m[i][j].shift(-degs[j]) for j in range(n)] for i in range(n)]
@@ -129,7 +129,7 @@ def _verify_factorization(t: Transition, f: BirkhoffFactors):
     pm, pp = f.pminus, f.pplus
     for row in pm:
         for p in row:
-            if not p.is_antipolynomial():
+            if p.max_exp() > 0:
                 raise AssertionError("Pminus is not polynomial in 1/z")
     for row in pp:
         for p in row:
@@ -137,7 +137,7 @@ def _verify_factorization(t: Transition, f: BirkhoffFactors):
                 raise AssertionError("Pplus is not polynomial in z")
     for mat in (pm, pp):
         d = lmat_det(mat)
-        if not (d.is_monomial() and d.min_exp() == 0):
+        if not (len(d.terms) == 1 and d.min_exp() == 0):
             raise AssertionError("unimodular factor has non-constant determinant")
     if sum(f.diag) != t.det_exp:
         raise AssertionError("diagonal exponents do not sum to the det exponent")

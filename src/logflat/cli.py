@@ -175,8 +175,8 @@ def _cmd_extend(args):
         return EXIT_NEGATIVE
     conn = ext.connection
     witness = {"twistExponents": list(ext.twist_exponents),
-               "gaugeX": [ser.bilaurent_to_json(e) for row in ext.gauge_x for e in row],
-               "gaugeY": [ser.bilaurent_to_json(e) for row in ext.gauge_y for e in row],
+               "gaugeX": [ser.poly_to_json(e) for row in ext.gauge_x for e in row],
+               "gaugeY": [ser.poly_to_json(e) for row in ext.gauge_y for e in row],
                "omegas": [ser.pmat_to_json(om) for om in conn.omegas]}
     cert = ser.certificate("extends", witness, doc)
     _emit(args, cert, f"extends; twist exponents {list(ext.twist_exponents)}")

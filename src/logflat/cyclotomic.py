@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
 
 from .multipoly import MultiPoly
 from . import univariate as uv
@@ -172,10 +171,3 @@ def cmat_from_rational(m: int, a) -> list:
 
 def cmat_identity(m: int, n: int) -> list:
     return [[CycloNum.rational(m, int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // int_gcd(out, v)
-    return out

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from . import matrices as qm
 from . import univariate as uv
 from .cyclotomic import (CycloNum, cmat_from_rational, cmat_identity,
-                         cyclotomic_split_upoly, lcm)
+                         cyclotomic_split_upoly)
 from .matrices import (QMatrix, det_rational, eval_poly_at_matrix, identity,
                        is_zero_matrix, mat_add, mat_eq, mat_inv, mat_mul,
                        mat_scale, mat_sub, charpoly, minpoly)
@@ -119,7 +119,7 @@ def quasi_unipotent_weights(s: QMatrix):
                                            multiplicity=md,
                                            weight=Fraction(k, d)))
     entries.sort(key=lambda e: e.weight)
-    m = lcm(e.order for e in entries)
+    m = lcm(*(e.order for e in entries))
     data = WeightData(entries=tuple(entries), field_order=m)
     if data.dimension() != len(s):
         raise AssertionError("weight multiplicities do not sum to the dimension")

@@ -6,10 +6,11 @@ Matrices are row-major sequences of rows (lists or tuples).  Elimination
 The helpers mat_add, mat_sub, mat_mul, mat_scale, mat_eq, is_zero_matrix,
 commutator, det_bareiss and det_cofactor work over any commutative ring
 whose elements support + - * and ==, and whose truth value is false
-exactly for zero: Fraction, MultiPoly, LaurentPoly, BiLaurent, CycloNum.
+exactly for zero: Fraction, MultiPoly (polynomials and, with the Laurent
+flag, Laurent polynomials in any number of variables) and CycloNum.
 det_bareiss divides exactly with the elements' exact_div, so it needs an
-integral domain (MultiPoly, LaurentPoly); det_cofactor, exponential, is
-kept only as an independent oracle for it.
+integral domain (MultiPoly); det_cofactor, exponential, is kept only as an
+independent oracle for it.
 """
 from __future__ import annotations
 

@@ -1,13 +1,19 @@
-"""Exact multivariate polynomials over the rationals.
+"""Exact sparse polynomials and Laurent polynomials over the rationals.
 
-A polynomial is stored as a map from exponent vectors to nonzero Fraction
-coefficients, with a fixed graded-lexicographic term order (variables in
-declaration order).  All operations are pure and deterministic.
+A value is a map from exponent vectors to nonzero Fraction coefficients over
+a fixed tuple of variables, with a graded-lexicographic term order
+(variables in declaration order).  A value whose ``laurent`` flag is set
+lives in the Laurent ring Q[x_1^+-1, ..., x_n^+-1] and may have negative
+exponents; any other value is a polynomial and a negative exponent is
+rejected at construction.  Arithmetic with a Laurent operand gives a
+Laurent value.  The flag is part of the ring, not of the ring element:
+equality and hashing ignore it.  All operations are pure and deterministic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
+from operator import add, neg, sub
 
 
 def _as_fraction(c) -> Fraction:
@@ -25,22 +31,23 @@ def grlex_key(expts: tuple[int, ...]) -> tuple:
 
 
 class MultiPoly:
-    """A multivariate polynomial with Fraction coefficients.
+    """A sparse polynomial, or Laurent polynomial, with Fraction coefficients.
 
     Instances are immutable in practice: no method mutates ``terms`` after
     construction.  Zero coefficients are never stored.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "laurent")
 
-    def __init__(self, variables, terms=None):
+    def __init__(self, variables, terms=None, laurent: bool = False):
         self.vars = tuple(variables)
+        self.laurent = bool(laurent)
         clean: dict[tuple[int, ...], Fraction] = {}
         for e, c in (terms or {}).items():
             e = tuple(int(x) for x in e)
             if len(e) != len(self.vars):
                 raise ValueError("exponent vector length mismatch")
-            if any(x < 0 for x in e):
+            if not laurent and any(x < 0 for x in e):
                 raise ValueError("negative exponent in MultiPoly")
             c = _as_fraction(c)
             if c != 0:
@@ -49,15 +56,23 @@ class MultiPoly:
                     del clean[e]
         self.terms = clean
 
+    @classmethod
+    def _clean(cls, variables, terms, laurent) -> MultiPoly:
+        """Wrap a term map that is already clean: Fraction coefficients, no
+        zeros, exponent vectors of the right length that suit the ring."""
+        p = object.__new__(cls)
+        p.vars, p.terms, p.laurent = variables, terms, laurent
+        return p
+
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, variables, c) -> MultiPoly:
+    def constant(cls, variables, c, laurent: bool = False) -> MultiPoly:
         variables = tuple(variables)
         c = _as_fraction(c)
         if c == 0:
-            return cls(variables)
-        return cls(variables, {tuple([0] * len(variables)): c})
+            return cls(variables, laurent=laurent)
+        return cls(variables, {tuple([0] * len(variables)): c}, laurent)
 
     @classmethod
     def var(cls, variables, name, power: int = 1) -> MultiPoly:
@@ -71,7 +86,7 @@ class MultiPoly:
     def zero(cls, variables) -> MultiPoly:
         return cls(variables)
 
-    # -- predicates ---------------------------------------------------
+    # -- predicates and per-variable data -----------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -80,7 +95,11 @@ class MultiPoly:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(not any(e) for e in self.terms)
+
+    def is_polynomial(self) -> bool:
+        """No negative exponent (true of every non-Laurent value)."""
+        return all(x >= 0 for e in self.terms for x in e)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -93,6 +112,17 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
+    def min_exp(self, i: int = 0) -> int:
+        """Lowest exponent of variable i; 0 for the zero polynomial."""
+        return min((e[i] for e in self.terms), default=0)
+
+    def max_exp(self, i: int = 0) -> int:
+        """Highest exponent of variable i; 0 for the zero polynomial."""
+        return max((e[i] for e in self.terms), default=0)
+
+    def coeff(self, *e: int) -> Fraction:
+        return self.terms.get(e, Fraction(0))
+
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponent, coefficient) in graded-lex order."""
         if not self.terms:
@@ -102,58 +132,61 @@ class MultiPoly:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _check(self, other: MultiPoly):
+    def _coerce(self, other) -> MultiPoly:
+        if isinstance(other, (int, Fraction)):
+            return MultiPoly.constant(self.vars, other, self.laurent)
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.vars, other)
-        self._check(other)
+        other = self._coerce(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
+            if e in terms:
+                s = terms[e] + c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
             else:
-                terms[e] = s
-        return MultiPoly(self.vars, terms)
+                terms[e] = c
+        return MultiPoly._clean(self.vars, terms, self.laurent or other.laurent)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._clean(self.vars, {e: -c for e, c in self.terms.items()},
+                                self.laurent)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.vars, other)
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return MultiPoly(self.vars, {e: cc * c for e, cc in self.terms.items()})
-        self._check(other)
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return MultiPoly._clean(self.vars, terms, self.laurent)
+        other = self._coerce(other)
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                if e in terms:
+                    terms[e] += c1 * c2
                 else:
-                    terms[e] = s
-        return MultiPoly(self.vars, terms)
+                    terms[e] = c1 * c2
+        return MultiPoly._clean(self.vars, {e: c for e, c in terms.items() if c},
+                                self.laurent or other.laurent)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(self.vars, 1)
+        result = MultiPoly.constant(self.vars, 1, self.laurent)
         base = self
         while n:
             if n & 1:
@@ -172,6 +205,17 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
+    def shift(self, *k: int) -> MultiPoly:
+        """Multiply by the monomial with exponent vector k."""
+        return MultiPoly(self.vars, {tuple(map(add, e, k)): c
+                                     for e, c in self.terms.items()}, self.laurent)
+
+    def invert_variable(self) -> MultiPoly:
+        """Substitute x -> 1/x for every variable x; the result is a Laurent
+        value."""
+        return MultiPoly._clean(self.vars, {tuple(map(neg, e)): c
+                                            for e, c in self.terms.items()}, True)
+
     # -- calculus and evaluation --------------------------------------
 
     def derivative(self, name: str) -> MultiPoly:
@@ -183,7 +227,7 @@ class MultiPoly:
             ne = list(e)
             ne[i] -= 1
             terms[tuple(ne)] = c * e[i]
-        return MultiPoly(self.vars, terms)
+        return MultiPoly._clean(self.vars, terms, self.laurent)
 
     def evaluate(self, values: dict) -> Fraction:
         """Evaluate at a full assignment of rational values."""
@@ -198,8 +242,8 @@ class MultiPoly:
 
     def substitute(self, values: dict) -> MultiPoly:
         """Substitute rational values for a subset of the variables."""
-        keep = [v for v in self.vars if v not in values]
-        out = MultiPoly.zero(tuple(keep))
+        keep = tuple(v for v in self.vars if v not in values)
+        terms: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.terms.items():
             coef = c
             ne = []
@@ -208,28 +252,46 @@ class MultiPoly:
                     coef *= _as_fraction(values[v]) ** k
                 else:
                     ne.append(k)
-            out = out + MultiPoly(tuple(keep), {tuple(ne): coef})
-        return out
+            ne = tuple(ne)
+            terms[ne] = terms.get(ne, Fraction(0)) + coef
+        return MultiPoly(keep, terms, self.laurent)
 
     # -- division -----------------------------------------------------
 
     def exact_div(self, d: MultiPoly) -> MultiPoly:
-        """Exact quotient self / d; raises if d does not divide self."""
-        self._check(d)
-        if d.is_zero():
+        """Exact quotient self / d; raises ValueError if d does not divide
+        self.  Long division by the graded-lex leading term of d: every
+        quotient exponent e must have e_i >= floor_i, where floor_i is 0 for
+        polynomials and min_i(self) - min_i(d) for Laurent values (the
+        quotient's lowest exponent in each variable)."""
+        d = self._coerce(d)
+        if not d.terms:
             raise ZeroDivisionError("division by zero polynomial")
-        rem = self
-        q_terms: dict[tuple[int, ...], Fraction] = {}
+        laurent = self.laurent or d.laurent
+        n = len(self.vars)
+        if laurent and self.terms:
+            floor = tuple(self.min_exp(i) - d.min_exp(i) for i in range(n))
+        else:
+            floor = (0,) * n
         de, dc = d.leading()
-        while not rem.is_zero():
-            re, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(x < 0 for x in qe):
+        dterms = list(d.terms.items())
+        rem = dict(self.terms)
+        q_terms: dict[tuple[int, ...], Fraction] = {}
+        while rem:
+            re = max(rem, key=grlex_key)
+            qe = tuple(map(sub, re, de))
+            if any(map(int.__lt__, qe, floor)):
                 raise ValueError("not an exact division")
-            qc = rc / dc
+            qc = rem[re] / dc
             q_terms[qe] = qc
-            rem = rem - MultiPoly(self.vars, {qe: qc}) * d
-        return MultiPoly(self.vars, q_terms)
+            for e, c in dterms:            # rem -= qc * x^qe * d
+                k = tuple(map(add, qe, e))
+                s = rem.get(k, 0) - qc * c
+                if s:
+                    rem[k] = s
+                else:
+                    del rem[k]
+        return MultiPoly._clean(self.vars, q_terms, laurent)
 
     def divides(self, other: MultiPoly) -> bool:
         try:
@@ -246,10 +308,8 @@ class MultiPoly:
         parts = []
         for e in sorted(self.terms, key=grlex_key, reverse=True):
             c = self.terms[e]
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.vars, e) if k > 0
-            )
+            mono = "*".join(v if k == 1 else f"{v}^{k}"
+                            for v, k in zip(self.vars, e) if k)
             if not mono:
                 parts.append(str(c))
             elif c == 1:
@@ -269,9 +329,7 @@ def normalize(f: MultiPoly) -> MultiPoly:
     and positive leading coefficient in graded-lex order."""
     if f.is_zero():
         return f
-    den_lcm = 1
-    for c in f.terms.values():
-        den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
+    den_lcm = lcm(*(c.denominator for c in f.terms.values()))
     num_gcd = 0
     for c in f.terms.values():
         num_gcd = int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))

@@ -13,11 +13,10 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .bilaurent import BiLaurent
 from .castling import PrehomDescriptor
 from .extend import ConnectionData
 from .filtrations import Filtration
-from .laurent import LaurentPoly, Transition
+from .laurent import Transition
 from .multipoly import MultiPoly
 from .saito import LogConnection, SaitoSystem, VectorField
 
@@ -64,27 +63,23 @@ def poly_from_json(variables, data) -> MultiPoly:
     return MultiPoly(tuple(variables), terms)
 
 
-def laurent_to_json(p: LaurentPoly) -> list:
-    return [{"c": frac_to_json(c), "e": e} for e, c in sorted(p.terms.items())]
+def laurent_to_json(p: MultiPoly) -> list:
+    return [{"c": frac_to_json(c), "e": e} for (e,), c in sorted(p.terms.items())]
 
 
-def laurent_from_json(data, var: str = "z") -> LaurentPoly:
+def laurent_from_json(data, var: str = "z") -> MultiPoly:
     if not isinstance(data, list):
         raise FormatError("Laurent polynomial must be an array of terms")
     terms = {}
     for t in data:
         if not isinstance(t, dict) or "c" not in t or "e" not in t:
             raise FormatError(f"bad Laurent term {t!r}")
-        terms[int(t["e"])] = terms.get(int(t["e"]), Fraction(0)) + frac_from_json(t["c"])
-    return LaurentPoly(var, terms)
+        e = (int(t["e"]),)
+        terms[e] = terms.get(e, Fraction(0)) + frac_from_json(t["c"])
+    return MultiPoly((var,), terms, laurent=True)
 
 
-def bilaurent_to_json(p: BiLaurent) -> list:
-    return [{"c": frac_to_json(c), "e": list(e)}
-            for e, c in sorted(p.terms.items())]
-
-
-def bilaurent_from_json(data) -> BiLaurent:
+def bilaurent_from_json(data) -> MultiPoly:
     if not isinstance(data, list):
         raise FormatError("Laurent polynomial must be an array of terms")
     terms = {}
@@ -93,7 +88,7 @@ def bilaurent_from_json(data) -> BiLaurent:
             raise FormatError(f"bad two-variable Laurent term {t!r}")
         e = (int(t["e"][0]), int(t["e"][1]))
         terms[e] = terms.get(e, Fraction(0)) + frac_from_json(t["c"])
-    return BiLaurent(terms)
+    return MultiPoly(("x", "y"), terms, laurent=True)
 
 
 # -- matrices ---------------------------------------------------------------
@@ -134,7 +129,7 @@ def lmat_from_json(data, var: str = "z") -> list:
 
 
 def bmat_to_json(m) -> list:
-    return _mat_to_json(m, bilaurent_to_json)
+    return _mat_to_json(m, poly_to_json)
 
 
 def bmat_from_json(data) -> list:

@@ -21,7 +21,7 @@ from logflat.extend import extend_connection, generate_connection_corpus
 from logflat.filtrations import (AdaptedBasis, Filtration, NotSplittable,
                                  simultaneous_split, split_pair)
 from logflat.jordan import central_log, jordan_chevalley, well_behaved_check
-from logflat.laurent import LaurentPoly, Transition, lmat_identity, lmat_mul
+from logflat.laurent import Transition, lmat_identity, lmat_mul
 from logflat.multipoly import MultiPoly
 from logflat.saito import (SaitoSystem, VectorField, flatness_check,
                            saito_check)
@@ -164,6 +164,11 @@ def test_criterion_04_central_log_suite(capsys):
 
 # 5. 100 planted Birkhoff factorizations --------------------------------------
 
+def mono(e, c=1):
+    """The Laurent monomial c z^e."""
+    return MultiPoly(("z",), {(e,): c}, laurent=True)
+
+
 def _rand_unimodular(rng, n, sign, max_deg, ops=5):
     m = lmat_identity(n)
     for _ in range(ops):
@@ -174,7 +179,7 @@ def _rand_unimodular(rng, n, sign, max_deg, ops=5):
         if c == 0:
             continue
         elem = lmat_identity(n)
-        elem[i][j] = LaurentPoly.monomial(sign * rng.randrange(max_deg + 1), c)
+        elem[i][j] = mono(sign * rng.randrange(max_deg + 1), c)
         m = lmat_mul(m, elem)
     return m
 
@@ -188,7 +193,7 @@ def test_criterion_05_birkhoff_suite(capsys):
         exps = sorted((rng.randrange(-4, 5) for _ in range(n)), reverse=True)
         pm = _rand_unimodular(rng, n, -1, 4)
         pp = _rand_unimodular(rng, n, +1, 4)
-        d = [[LaurentPoly.monomial(exps[i], 1) if i == j else LaurentPoly("z")
+        d = [[mono(exps[i]) if i == j else mono(0, 0)
               for j in range(n)] for i in range(n)]
         t = Transition(lmat_mul(lmat_mul(pm, d), pp))
         fac = birkhoff_factorize(t)
@@ -205,8 +210,7 @@ def test_criterion_05_birkhoff_suite(capsys):
 # 6. The toric counterexample transition discriminates extensions -------------
 
 def test_criterion_06_extension_discrimination(capsys):
-    mono = LaurentPoly.monomial
-    zero = LaurentPoly("z")
+    zero = mono(0, 0)
     nontrivial = Transition([[mono(0, 1), mono(-1, 1)], [zero, mono(-2, 1)]])
     split = Transition([[mono(0, 1), zero], [zero, mono(-2, 1)]])
     st_ext = splitting_type(nontrivial)

@@ -6,14 +6,27 @@ from fractions import Fraction
 import pytest
 
 from logflat import matrices as qm
-from logflat.bilaurent import BiLaurent
 from logflat.extend import (DIVISORS, ConnectionData, extend_connection,
                             frame_fields, generate_connection_corpus)
-from logflat.laurent import LaurentPoly, Transition
+from logflat.laurent import Transition
 from logflat.multipoly import MultiPoly
 from logflat.saito import flatness_check, lie_bracket, residue_at_origin
 
 XY = ("x", "y")
+
+
+def bl(c=0):
+    """A constant Laurent polynomial in (x, y)."""
+    return MultiPoly.constant(XY, c, laurent=True)
+
+
+def mono(e, c=1):
+    """The Laurent monomial c z^e."""
+    return MultiPoly(("z",), {(e,): c}, laurent=True)
+
+
+def zero():
+    return mono(0, 0)
 
 
 def cross_divisor():
@@ -37,9 +50,9 @@ def test_frame_fields_bracket_weight():
 
 def _identity_data(alpha):
     f = cross_divisor()
-    om_e = [[BiLaurent.constant(alpha)]]
-    om_d = [[BiLaurent()]]
-    t = Transition([[LaurentPoly.monomial(0, 1)]])
+    om_e = [[bl(alpha)]]
+    om_d = [[bl()]]
+    t = Transition([[mono(0)]])
     return ConnectionData(1, 1, f, (om_e, om_d), (om_e, om_d), t)
 
 
@@ -85,7 +98,7 @@ def test_rejects_incompatible_charts():
     data = _identity_data(Fraction(1, 2))
     bad = ConnectionData(data.p, data.q, data.divisor,
                          data.omega_x,
-                         ([[BiLaurent.constant(Fraction(1, 3))]], [[BiLaurent()]]),
+                         ([[bl(Fraction(1, 3))]], [[bl()]]),
                          data.transition)
     with pytest.raises(ValueError):
         extend_connection(bad)
@@ -94,12 +107,12 @@ def test_rejects_incompatible_charts():
 def test_rejects_nonflat_chart_data():
     # rank-2 with non-commuting constant matrices on the cross is not flat
     f = cross_divisor()
-    a = [[BiLaurent.constant(0), BiLaurent.constant(1)],
-         [BiLaurent.constant(0), BiLaurent.constant(0)]]
-    b = [[BiLaurent.constant(0), BiLaurent.constant(0)],
-         [BiLaurent.constant(1), BiLaurent.constant(0)]]
-    t = Transition([[LaurentPoly.monomial(0, 1), LaurentPoly("z")],
-                    [LaurentPoly("z"), LaurentPoly.monomial(0, 1)]])
+    a = [[bl(0), bl(1)],
+         [bl(0), bl(0)]]
+    b = [[bl(0), bl(0)],
+         [bl(1), bl(0)]]
+    t = Transition([[mono(0), zero()],
+                    [zero(), mono(0)]])
     data = ConnectionData(1, 1, f, (a, b), (a, b), t)
     with pytest.raises(ValueError):
         extend_connection(data)
@@ -107,8 +120,8 @@ def test_rejects_nonflat_chart_data():
 
 def test_rejects_non_homogeneous_divisor():
     f = MultiPoly.var(XY, "x") + MultiPoly.var(XY, "y") ** 2
-    om = [[BiLaurent()]]
-    t = Transition([[LaurentPoly.monomial(0, 1)]])
+    om = [[bl()]]
+    t = Transition([[mono(0)]])
     data = ConnectionData(1, 1, f, (om, om), (om, om), t)
     with pytest.raises(ValueError):
         extend_connection(data)

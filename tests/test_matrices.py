@@ -10,9 +10,7 @@ import pytest
 
 from logflat import bilaurent, laurent
 from logflat import matrices as qm
-from logflat.bilaurent import BiLaurent
 from logflat.cyclotomic import CycloNum
-from logflat.laurent import LaurentPoly
 from logflat.multipoly import MultiPoly
 
 
@@ -120,11 +118,11 @@ RING_ELEMENTS = {
     "Fraction": lambda rng: Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)),
     "MultiPoly": lambda rng: MultiPoly(("x", "y"), {
         (rng.randrange(3), rng.randrange(3)): rng.randrange(-2, 3) for _ in range(2)}),
-    "LaurentPoly": lambda rng: LaurentPoly("z", {
-        rng.randrange(-2, 3): rng.randrange(-2, 3) for _ in range(2)}),
-    "BiLaurent": lambda rng: BiLaurent({
+    "LaurentPoly": lambda rng: MultiPoly(("z",), {
+        (rng.randrange(-2, 3),): rng.randrange(-2, 3) for _ in range(2)}, laurent=True),
+    "BiLaurent": lambda rng: MultiPoly(("x", "y"), {
         (rng.randrange(-1, 2), rng.randrange(-1, 2)): rng.randrange(-2, 3)
-        for _ in range(2)}),
+        for _ in range(2)}, laurent=True),
     "CycloNum": lambda rng: CycloNum(5, [rng.randrange(-2, 3) for _ in range(5)]),
 }
 

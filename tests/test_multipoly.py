@@ -131,3 +131,72 @@ def test_substitute_matches_evaluate():
         full = a.substitute(pt)
         assert full.is_constant()
         assert full.constant_value() == a.evaluate(pt)
+
+
+# -- Laurent values: the same class with the Laurent flag ------------------------
+
+XY = ("x", "y")
+
+
+def rand_laurent(rng, nterms=3, lo=-2, hi=2):
+    return MultiPoly(XY, {(rng.randrange(lo, hi + 1), rng.randrange(lo, hi + 1)):
+                          Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
+                          for _ in range(nterms)}, laurent=True)
+
+
+def test_two_variable_laurent_exact_div_roundtrip():
+    rng = random.Random(7)
+    for _ in range(25):
+        q, d = rand_laurent(rng), rand_laurent(rng)
+        if d.is_zero():
+            continue
+        quotient = (q * d).exact_div(d)
+        assert quotient == q and quotient.laurent
+
+
+def test_two_variable_laurent_exact_div_rejects_nondivisor():
+    x_inv = MultiPoly(XY, {(-1, 0): 1}, laurent=True)
+    y = MultiPoly(XY, {(0, 1): 1}, laurent=True)
+    with pytest.raises(ValueError):
+        (x_inv + y).exact_div(x_inv * y + 1)
+    with pytest.raises(ZeroDivisionError):
+        x_inv.exact_div(MultiPoly(XY, laurent=True))
+
+
+def test_one_over_x_only_in_the_laurent_ring():
+    one = MultiPoly.constant(XY, 1)
+    x = MultiPoly.var(XY, "x")
+    with pytest.raises(ValueError):
+        one.exact_div(x)
+    x_laurent = MultiPoly(XY, {(1, 0): 1}, laurent=True)
+    inverse = MultiPoly.constant(XY, 1, laurent=True).exact_div(x_laurent)
+    assert inverse.terms == {(-1, 0): Fraction(1)}
+    assert inverse * x == 1
+
+
+def test_polynomial_times_laurent_is_laurent():
+    x = MultiPoly.var(XY, "x")
+    y_inv = MultiPoly(XY, {(0, -1): 2}, laurent=True)
+    for product in (x * y_inv, y_inv * x, x + y_inv, x - y_inv):
+        assert product.laurent
+    assert (x * y_inv).terms == {(1, -1): Fraction(2)}
+    assert not (x * x).laurent
+
+
+def test_polynomial_and_laurent_values_compare_and_hash_equal():
+    x = MultiPoly.var(XY, "x")
+    y = MultiPoly.var(XY, "y")
+    p = x * x - 3 * y
+    lp = MultiPoly(XY, dict(p.terms), laurent=True)
+    assert p == lp and lp == p
+    assert hash(p) == hash(lp)
+    assert len({p, lp}) == 1
+
+
+def test_negative_exponent_needs_the_laurent_flag():
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly(XY, {(0, -1): 1})
+    p = MultiPoly(XY, {(0, -1): 1, (2, 0): 3}, laurent=True)
+    assert p.min_exp(1) == -1 and p.max_exp(0) == 2
+    assert p.coeff(2, 0) == 3 and not p.is_polynomial()
+    assert not MultiPoly(XY, {(1, -1): 1}, laurent=True).is_constant()
