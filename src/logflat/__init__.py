@@ -5,10 +5,12 @@ them) with fractions.Fraction; there is no floating point anywhere.
 
 Modules
 -------
-multipoly, univariate, cyclotomic
+multipoly, cyclotomic
     Exact polynomials: one sparse graded-lex class for polynomials and
-    Laurent polynomials in any number of variables, primitive-PRS gcd,
-    dense univariate helpers, and arithmetic in cyclotomic quotient rings.
+    Laurent polynomials in any number of variables (univariate values
+    included), primitive-PRS gcd, univariate division with remainder,
+    cyclotomic factor extraction and arithmetic in cyclotomic quotient
+    rings.
 matrices
     The one matrix core: rational elimination, plus matrix arithmetic and
     fraction-free (Bareiss) determinants over any of the coefficient rings

@@ -153,12 +153,11 @@ def splitting_type(t: Transition) -> SplittingType:
 # -- independent rank oracle ----------------------------------------------
 
 
-def _h0_twist(t: Transition, j: int) -> int:
+def _h0_twist(t: Transition, j: int, einv: int) -> int:
     """dim of {s polynomial : z^{-j} T s is polynomial in 1/z}, the global
-    sections of the twist by class j."""
+    sections of the twist by class j; einv is the top z-exponent of T^{-1},
+    which bounds the degree of a section."""
     n = t.rank
-    tinv = lmat_inverse(t.matrix)
-    einv = max(p.max_exp() for row in tinv for p in row if not p.is_zero())
     dmax = j + einv
     if dmax < 0:
         return 0
@@ -196,14 +195,14 @@ def splitting_type_rank_oracle(t: Transition) -> SplittingType:
     cap = einv + n * (abs(emax) + abs(einv)) + abs(t.det_exp) + 2
     classes = []
     j = -einv - 1
-    prev = _h0_twist(t, j)
+    prev = _h0_twist(t, j, einv)
     if prev != 0:
         raise AssertionError("section space nonzero below the provable bound")
     while len(classes) < n:
         j += 1
         if j > cap:
             raise AssertionError("rank-oracle scan exceeded its degree cap")
-        cur = _h0_twist(t, j)
+        cur = _h0_twist(t, j, einv)
         fresh = (cur - prev) - len(classes)
         if fresh < 0:
             raise AssertionError("section counts decreased along the scan")
@@ -259,14 +258,15 @@ class EquivariantTransition:
         return self.tau.rank
 
 
-def _h0_equivariant(et: EquivariantTransition, j: int) -> int:
+def _h0_equivariant(et: EquivariantTransition, j: int, spread: int) -> int:
     """Invariant sections of the twist by the class-j line bundle.
 
     A section is a chart-y coefficient vector psi with psi_c supported in
     z-exponents e <= floor(s*(b_c+j)/q) (regularity off y = 0) such that
     tau*psi is supported in e >= ceil(-t*(a_i+j)/p) per row (regularity off
     x = 0); components whose character is not a multiple of gcd(p, q)
-    vanish identically.
+    vanish identically.  spread bounds |min| + |max| z-exponent over the
+    entries of tau^{-1}.
     """
     m = et.rank
     g, s, t = et.g, et.s_star, et.t_star
@@ -286,9 +286,6 @@ def _h0_equivariant(et: EquivariantTransition, j: int) -> int:
         else:
             v = -t * w
             lowers.append((v + et.p - 1) // et.p if v >= 0 else -((-v) // et.p))
-    tinv = lmat_inverse(et.tau.matrix)
-    spread = max(abs(p.min_exp()) + abs(p.max_exp())
-                 for row in tinv for p in row if not p.is_zero())
     finite_lowers = [v for v in lowers if v is not None]
     if not finite_lowers or all(u is None for u in uppers):
         return 0
@@ -339,11 +336,14 @@ def football_split(et: EquivariantTransition) -> list:
                      for row in et.tau.matrix for x in row if not x.is_zero())
     bound = (max(map(abs, et.a), default=0) + max(map(abs, et.b), default=0)
              + (p + q) * (tau_spread + 2))
+    inv_spread = max(abs(x.min_exp()) + abs(x.max_exp())
+                     for row in lmat_inverse(et.tau.matrix) for x in row
+                     if not x.is_zero())
     cache: dict[int, int] = {}
 
     def h(j):
         if j not in cache:
-            cache[j] = _h0_equivariant(et, j)
+            cache[j] = _h0_equivariant(et, j, inv_spread)
         return cache[j]
 
     for _ in range(6):

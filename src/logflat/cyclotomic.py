@@ -1,8 +1,11 @@
 """Cyclotomic polynomials, cyclotomic factor extraction, and exact
 arithmetic in the quotient rings Q[t]/Phi_m(t).
 
-No complex embedding is ever taken: a root of unity is the class of t in
-the quotient ring, and all identities are verified algebraically.
+Every polynomial here is a one-variable MultiPoly: Phi_d is built and
+factors are peeled with exact_div, and a quotient-ring element is reduced
+with MultiPoly's division with remainder (divmod).  No complex embedding
+is ever taken: a root of unity is the class of t in the quotient ring, and
+all identities are verified algebraically.
 """
 from __future__ import annotations
 
@@ -10,8 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .multipoly import MultiPoly
-from . import univariate as uv
-from .univariate import UPoly
+
+_T = ("t",)
 
 
 def euler_phi(n: int) -> int:
@@ -30,16 +33,16 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_upoly(d: int) -> tuple:
-    """Coefficients of the d-th cyclotomic polynomial Phi_d (tuple, dense)."""
+def cyclotomic_upoly(d: int, var: str = "t") -> MultiPoly:
+    """The d-th cyclotomic polynomial Phi_d in the variable var."""
     if d < 1:
         raise ValueError("order must be positive")
     # Phi_d = (t^d - 1) / prod_{e | d, e < d} Phi_e
-    num: UPoly = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+    phi = MultiPoly((var,), {(d,): 1, (0,): -1})
     for e in range(1, d):
         if d % e == 0:
-            num = uv.uexact_div(num, list(cyclotomic_upoly(e)))
-    return tuple(num)
+            phi = phi.exact_div(cyclotomic_upoly(e, var))
+    return phi
 
 
 def candidate_orders(deg: int) -> list[int]:
@@ -60,40 +63,38 @@ def cyclotomic_split(p: MultiPoly) -> tuple[list[tuple[int, int]], MultiPoly]:
         raise ValueError("univariate polynomial expected")
     if p.is_zero():
         raise ValueError("zero polynomial")
-    var = p.vars[0]
-    rem = uv.from_multipoly(p)
+    rem = p
     factors: list[tuple[int, int]] = []
-    for d in candidate_orders(uv.udeg(rem)):
-        phi = list(cyclotomic_upoly(d))
+    for d in candidate_orders(p.total_degree()):
+        phi = cyclotomic_upoly(d, p.vars[0])
         mult = 0
-        while uv.udeg(rem) >= uv.udeg(phi):
-            q, r = uv.udivmod(rem, phi)
-            if r:
+        while rem.total_degree() >= phi.total_degree():
+            try:
+                rem = rem.exact_div(phi)
+            except ValueError:
                 break
-            rem = q
             mult += 1
         if mult:
             factors.append((d, mult))
-    return factors, uv.to_multipoly(rem, var)
+    return factors, rem
 
 
-def cyclotomic_split_upoly(p: UPoly) -> tuple[list[tuple[int, int]], UPoly]:
-    factors, rem = cyclotomic_split(uv.to_multipoly(p))
-    return factors, uv.from_multipoly(rem)
+cyclotomic_split_upoly = cyclotomic_split   # the name jordan calls and the benchmark traces
 
 
 class CycloNum:
-    """An element of Q[t]/Phi_m(t), stored as its reduced representative."""
+    """An element of Q[t]/Phi_m(t), stored as its reduced representative:
+    a polynomial in t of degree below deg Phi_m."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "poly")
 
     def __init__(self, m: int, coeffs):
+        """coeffs: a representative in t, as a MultiPoly or as its
+        coefficients in ascending degree."""
         self.m = m
-        mod = list(cyclotomic_upoly(m))
-        c = uv.upoly(coeffs)
-        if uv.udeg(c) >= uv.udeg(mod):
-            c = uv.udivmod(c, mod)[1]
-        self.coeffs = tuple(c)
+        if not isinstance(coeffs, MultiPoly):
+            coeffs = MultiPoly(_T, {(k,): c for k, c in enumerate(coeffs)})
+        self.poly = divmod(coeffs, cyclotomic_upoly(m))[1]
 
     @classmethod
     def rational(cls, m: int, c) -> CycloNum:
@@ -102,8 +103,7 @@ class CycloNum:
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> CycloNum:
         """The class of t^power: a primitive m-th root of unity to that power."""
-        power %= m
-        return cls(m, [Fraction(0)] * power + [Fraction(1)])
+        return cls(m, MultiPoly.var(_T, "t", power % m))
 
     def _coerce(self, other) -> CycloNum:
         if isinstance(other, CycloNum):
@@ -113,13 +113,12 @@ class CycloNum:
         return CycloNum.rational(self.m, other)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return CycloNum(self.m, uv.uadd(list(self.coeffs), list(o.coeffs)))
+        return CycloNum(self.m, self.poly + self._coerce(other).poly)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.m, [-c for c in self.coeffs])
+        return CycloNum(self.m, -self.poly)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -128,39 +127,43 @@ class CycloNum:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return CycloNum(self.m, uv.umul(list(self.coeffs), list(o.coeffs)))
+        return CycloNum(self.m, self.poly * self._coerce(other).poly)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNum:
-        mod = list(cyclotomic_upoly(self.m))
-        g, s, _ = uv.uext_gcd(list(self.coeffs), mod)
-        if uv.udeg(g) != 0:
+        """Extended Euclid: s * self = gcd(self, Phi_m) modulo Phi_m, and
+        the gcd is a nonzero constant unless self is zero."""
+        r0, r1 = self.poly, cyclotomic_upoly(self.m)
+        s0, s1 = MultiPoly.constant(_T, 1), MultiPoly.zero(_T)
+        while r1:
+            q, r = divmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+        if r0.total_degree() != 0:
             raise ZeroDivisionError("element is not invertible")
-        return CycloNum(self.m, uv.uscale(s, 1 / g[0]))
+        return CycloNum(self.m, s0 * (1 / r0.constant_value()))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.poly
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.poly)
 
     def __eq__(self, other):
         try:
             o = self._coerce(other)
         except (ValueError, TypeError):
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.poly == o.poly
 
     def __hash__(self):
-        return hash((self.m, self.coeffs))
+        return hash((self.m, self.poly))
 
     def __repr__(self):
-        return f"CycloNum(m={self.m}, {list(self.coeffs)})"
+        return f"CycloNum(m={self.m}, {self.poly!r})"
 
 
 # -- matrices over a cyclotomic quotient ring ---------------------------

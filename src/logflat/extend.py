@@ -28,7 +28,6 @@ from .multipoly import MultiPoly, normalize
 from .saito import (LogConnection, SaitoSystem, VectorField, euler_check,
                     flatness_check, residue_at_origin)
 from . import matrices as qm
-from .univariate import from_multipoly, udeg
 
 
 @dataclass(frozen=True)
@@ -100,9 +99,10 @@ def _flat_bilaurent(omega_e, omega_d, fields_bl, w: Fraction) -> bool:
 def _rational_eigenvalues(m) -> bool:
     """Whether every eigenvalue of a rational matrix is rational (exact
     rational-root deflation of the characteristic polynomial)."""
-    chi = from_multipoly(qm.charpoly(m))
-    while udeg(chi) > 0:
-        const, lead = chi[0], chi[-1]
+    chi = qm.charpoly(m)
+    var = chi.vars[0]
+    while chi.total_degree() > 0:
+        const, lead = chi.coeff(0), chi.leading()[1]
         root = None
         if const == 0:
             root = Fraction(0)
@@ -110,20 +110,12 @@ def _rational_eigenvalues(m) -> bool:
             num0 = const.numerator * lead.denominator
             den0 = lead.numerator * const.denominator
             for r in _rational_root_candidates(num0, den0):
-                if sum(c * r ** k for k, c in enumerate(chi)) == 0:
+                if chi.evaluate({var: r}) == 0:
                     root = r
                     break
         if root is None:
             return False
-        # deflate by (t - root)
-        out, carry = [], Fraction(0)
-        for c in reversed(chi):
-            carry = c + carry * root
-            out.append(carry)
-        out.reverse()
-        if out[0] != 0:
-            return False
-        chi = out[1:]
+        chi = chi.exact_div(MultiPoly.var(chi.vars, var) - root)
     return True
 
 

@@ -15,13 +15,12 @@ from fractions import Fraction
 from math import gcd as int_gcd, lcm
 
 from . import matrices as qm
-from . import univariate as uv
 from .cyclotomic import (CycloNum, cmat_from_rational, cmat_identity,
                          cyclotomic_split_upoly)
 from .matrices import (QMatrix, det_rational, eval_poly_at_matrix, identity,
                        is_zero_matrix, mat_add, mat_eq, mat_inv, mat_mul,
-                       mat_scale, mat_sub, charpoly, minpoly)
-from .univariate import from_multipoly, to_multipoly
+                       mat_scale, mat_sub, charpoly)
+from .multipoly import squarefree_part
 
 
 @dataclass(frozen=True)
@@ -38,21 +37,20 @@ def jordan_chevalley(m: QMatrix) -> JCPair:
     n = len(m)
     if det_rational(m) == 0:
         raise ValueError("matrix is singular")
-    chi = from_multipoly(charpoly(m))
-    p = uv.usquarefree(chi)
-    dp = uv.uderiv(p)
+    p = squarefree_part(charpoly(m))[0]
+    dp = p.derivative(p.vars[0])
     s = [row[:] for row in m]
     # Newton: s <- s - p(s) * p'(s)^{-1}; converges quadratically since
-    # p(m) is nilpotent and gcd(p, p') = 1.
+    # p(m) is nilpotent and gcd(p, p') = 1.  Scaling p leaves the step alone.
     for _ in range(max(1, n.bit_length() + 1)):
-        ps = eval_poly_at_matrix(to_multipoly(p), s)
+        ps = eval_poly_at_matrix(p, s)
         if is_zero_matrix(ps):
             break
-        dps = eval_poly_at_matrix(to_multipoly(dp), s)
+        dps = eval_poly_at_matrix(dp, s)
         s = mat_sub(s, mat_mul(ps, mat_inv(dps)))
     else:
         raise AssertionError("Newton iteration did not converge")
-    if not is_zero_matrix(eval_poly_at_matrix(to_multipoly(p), s)):
+    if not is_zero_matrix(eval_poly_at_matrix(p, s)):
         raise AssertionError("Newton iteration did not converge")
     u = mat_mul(mat_inv(s), m)
     return JCPair(S=s, U=u)
@@ -90,29 +88,21 @@ class NotQuasiUnipotent:
 
 def quasi_unipotent_weights(s: QMatrix):
     """WeightData for a semisimple rational matrix whose eigenvalues are all
-    roots of unity, or a NotQuasiUnipotent failure value."""
-    mp = from_multipoly(minpoly(s))
-    if not uv.is_squarefree(mp):
+    roots of unity, or a NotQuasiUnipotent failure value.
+
+    Everything comes from chi = charpoly(s): s is semisimple iff its minimal
+    polynomial is squarefree, that is iff rad(chi)(s) = 0, and one
+    cyclotomic split of chi gives each order with its multiplicity."""
+    chi = charpoly(s)
+    if not is_zero_matrix(eval_poly_at_matrix(squarefree_part(chi)[0], s)):
         raise ValueError("matrix is not semisimple (minimal polynomial not squarefree)")
-    factors, rem = cyclotomic_split_upoly(mp)
-    if uv.udeg(rem) > 0:
-        return NotQuasiUnipotent(factor=to_multipoly(rem))
-    chi = from_multipoly(charpoly(s))
+    factors, rem = cyclotomic_split_upoly(chi)
+    if rem.total_degree() > 0:
+        # the non-cyclotomic part of the minimal polynomial, made monic
+        factor = squarefree_part(rem)[0]
+        return NotQuasiUnipotent(factor=factor * (1 / factor.leading()[1]))
     entries = []
-    for d, mult_in_min in factors:
-        if mult_in_min != 1:
-            raise ValueError("minimal polynomial not squarefree")
-        # multiplicity of Phi_d in the characteristic polynomial
-        from .cyclotomic import cyclotomic_upoly
-        phi = list(cyclotomic_upoly(d))
-        md = 0
-        work = chi
-        while True:
-            q, r = uv.udivmod(work, phi)
-            if r:
-                break
-            work = q
-            md += 1
+    for d, md in factors:
         for k in range(d):
             if int_gcd(k if k else d, d) == 1:
                 entries.append(WeightEntry(order=d, exponent=k if d > 1 else 0,

@@ -213,7 +213,9 @@ def charpoly(a: QMatrix, var: str = "t") -> MultiPoly:
 
 def minpoly(a: QMatrix, var: str = "t") -> MultiPoly:
     """Monic minimal polynomial, found by the first linear dependence among
-    the powers of a."""
+    the powers of a.  The library reads semisimplicity off the
+    characteristic polynomial instead; this solve-based construction is
+    kept as an independent oracle for the tests."""
     n = len(a)
     powers = [identity(n)]
     for _ in range(n):

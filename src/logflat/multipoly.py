@@ -7,7 +7,10 @@ lives in the Laurent ring Q[x_1^+-1, ..., x_n^+-1] and may have negative
 exponents; any other value is a polynomial and a negative exponent is
 rejected at construction.  Arithmetic with a Laurent operand gives a
 Laurent value.  The flag is part of the ring, not of the ring element:
-equality and hashing ignore it.  All operations are pure and deterministic.
+equality and hashing ignore it.  A univariate polynomial is a one-variable
+value; divmod gives its division with remainder, which the univariate gcd
+and the cyclotomic quotient rings use.  All operations are pure and
+deterministic.
 """
 from __future__ import annotations
 
@@ -293,6 +296,34 @@ class MultiPoly:
                     del rem[k]
         return MultiPoly._clean(self.vars, q_terms, laurent)
 
+    def __divmod__(self, d: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+        """Quotient and remainder of one-variable polynomials: self = q*d + r
+        with deg r < deg d."""
+        d = self._coerce(d)
+        if len(self.vars) != 1:
+            raise ValueError("univariate polynomial expected")
+        if not d.terms:
+            raise ZeroDivisionError("division by zero polynomial")
+        (dd,), dc = d.leading()
+        rem = dict(self.terms)
+        q_terms: dict[tuple[int, ...], Fraction] = {}
+        while rem:
+            top = max(rem)
+            k = top[0] - dd
+            if k < 0:
+                break
+            qc = rem[top] / dc
+            q_terms[(k,)] = qc
+            for (e,), c in d.terms.items():        # rem -= qc * t^k * d
+                key = (e + k,)
+                s = rem.get(key, 0) - qc * c
+                if s:
+                    rem[key] = s
+                else:
+                    del rem[key]
+        return (MultiPoly._clean(self.vars, q_terms, self.laurent),
+                MultiPoly._clean(self.vars, rem, self.laurent))
+
     def divides(self, other: MultiPoly) -> bool:
         try:
             other.exact_div(self)
@@ -397,15 +428,15 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if not f.vars or (f.is_constant() or g.is_constant()):
         return MultiPoly.constant(f.vars, 1)
 
+    if len(f.vars) == 1:
+        # univariate over Q: plain Euclid
+        while g:
+            f, g = g, divmod(f, g)[1]
+        return normalize(f)
+
     rest = f.vars[1:]
     fu = _split_main(f)
     gu = _split_main(g)
-    if not rest:
-        # univariate over Q: plain Euclid on Fraction coefficients
-        a, b = fu, gu
-        while b:
-            a, b = b, _urem(a, b)
-        return normalize(_join_main({k: v for k, v in a.items()}, f.vars))
 
     def content(u: dict[int, MultiPoly]) -> MultiPoly:
         c = MultiPoly.zero(rest)
@@ -434,22 +465,6 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def _lift(p: MultiPoly, variables) -> MultiPoly:
     """Lift a polynomial in trailing variables to the full variable list."""
     return MultiPoly(variables, {(0,) + e: c for e, c in p.terms.items()})
-
-
-def _urem(a: dict[int, MultiPoly], b: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
-    """Remainder for univariate polynomials with constant (0-var) coefficients."""
-    rem = dict(a)
-    db = max(b)
-    lb = b[db]
-    while rem and max(rem) >= db:
-        dr = max(rem)
-        q = rem[dr].constant_value() / lb.constant_value()
-        for k, c in b.items():
-            kk = k + dr - db
-            cur = rem.get(kk, MultiPoly.zero(()))
-            rem[kk] = cur - c * q
-        rem = {k: v for k, v in rem.items() if not v.is_zero()}
-    return rem
 
 
 def squarefree_part(f: MultiPoly) -> tuple[MultiPoly, bool]:

@@ -49,18 +49,25 @@ def poly_to_json(p: MultiPoly) -> list:
             for e, c in sorted(p.terms.items())]
 
 
-def poly_from_json(variables, data) -> MultiPoly:
+def _exponent(v) -> int:
+    """An exponent must be a JSON integer: not a float, a string or a bool."""
+    if type(v) is not int:
+        raise FormatError(f"bad exponent {v!r}")
+    return v
+
+
+def poly_from_json(variables, data, laurent: bool = False) -> MultiPoly:
     if not isinstance(data, list):
         raise FormatError("polynomial must be an array of terms")
     terms = {}
     for t in data:
-        if not isinstance(t, dict) or "c" not in t or "e" not in t:
+        if not isinstance(t, dict) or "c" not in t or not isinstance(t.get("e"), list):
             raise FormatError(f"bad polynomial term {t!r}")
-        e = tuple(int(v) for v in t["e"])
+        e = tuple(_exponent(v) for v in t["e"])
         if len(e) != len(variables):
             raise FormatError("exponent length does not match variable count")
         terms[e] = terms.get(e, Fraction(0)) + frac_from_json(t["c"])
-    return MultiPoly(tuple(variables), terms)
+    return MultiPoly(tuple(variables), terms, laurent)
 
 
 def laurent_to_json(p: MultiPoly) -> list:
@@ -74,21 +81,9 @@ def laurent_from_json(data, var: str = "z") -> MultiPoly:
     for t in data:
         if not isinstance(t, dict) or "c" not in t or "e" not in t:
             raise FormatError(f"bad Laurent term {t!r}")
-        e = (int(t["e"]),)
+        e = (_exponent(t["e"]),)
         terms[e] = terms.get(e, Fraction(0)) + frac_from_json(t["c"])
     return MultiPoly((var,), terms, laurent=True)
-
-
-def bilaurent_from_json(data) -> MultiPoly:
-    if not isinstance(data, list):
-        raise FormatError("Laurent polynomial must be an array of terms")
-    terms = {}
-    for t in data:
-        if not isinstance(t, dict) or "c" not in t or "e" not in t or len(t["e"]) != 2:
-            raise FormatError(f"bad two-variable Laurent term {t!r}")
-        e = (int(t["e"][0]), int(t["e"][1]))
-        terms[e] = terms.get(e, Fraction(0)) + frac_from_json(t["c"])
-    return MultiPoly(("x", "y"), terms, laurent=True)
 
 
 # -- matrices ---------------------------------------------------------------
@@ -128,12 +123,8 @@ def lmat_from_json(data, var: str = "z") -> list:
     return _mat_from_json(data, lambda t: laurent_from_json(t, var))
 
 
-def bmat_to_json(m) -> list:
-    return _mat_to_json(m, poly_to_json)
-
-
 def bmat_from_json(data) -> list:
-    return _mat_from_json(data, bilaurent_from_json)
+    return _mat_from_json(data, lambda t: poly_from_json(("x", "y"), t, laurent=True))
 
 
 # -- structured documents ----------------------------------------------------
@@ -210,8 +201,8 @@ def connection_data_to_json(data: ConnectionData) -> dict:
         "p": data.p,
         "q": data.q,
         "divisor": poly_to_json(data.divisor),
-        "omegaX": [bmat_to_json(m) for m in data.omega_x],
-        "omegaY": [bmat_to_json(m) for m in data.omega_y],
+        "omegaX": [pmat_to_json(m) for m in data.omega_x],
+        "omegaY": [pmat_to_json(m) for m in data.omega_y],
         "transition": lmat_to_json(data.transition.matrix),
     }
 

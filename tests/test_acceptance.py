@@ -22,10 +22,9 @@ from logflat.filtrations import (AdaptedBasis, Filtration, NotSplittable,
                                  simultaneous_split, split_pair)
 from logflat.jordan import central_log, jordan_chevalley, well_behaved_check
 from logflat.laurent import Transition, lmat_identity, lmat_mul
-from logflat.multipoly import MultiPoly
+from logflat.multipoly import MultiPoly, squarefree_part
 from logflat.saito import (SaitoSystem, VectorField, flatness_check,
                            saito_check)
-from logflat.univariate import from_multipoly, is_squarefree
 
 
 def report(capsys, num, name, ok, extra=""):
@@ -99,7 +98,7 @@ def test_criterion_03_jordan_chevalley_suite(capsys):
         pair = jordan_chevalley(m)
         good = (qm.mat_eq(qm.mat_mul(pair.S, pair.U), m)
                 and qm.mat_eq(qm.mat_mul(pair.U, pair.S), m)
-                and is_squarefree(from_multipoly(qm.minpoly(pair.S)))
+                and squarefree_part(qm.minpoly(pair.S))[1]
                 and is_unipotent(pair.U)
                 and is_polynomial_in(pair.S, m))
         failures += 0 if good else 1
@@ -112,8 +111,9 @@ def test_criterion_03_jordan_chevalley_suite(capsys):
 
 def _companion_of_cyclotomic(k):
     from logflat.cyclotomic import cyclotomic_upoly
-    coeffs = list(cyclotomic_upoly(k))
-    d = len(coeffs) - 1
+    phi = cyclotomic_upoly(k)
+    d = phi.total_degree()
+    coeffs = [phi.coeff(i) for i in range(d + 1)]
     m = qm.zeros(d)
     for i in range(1, d):
         m[i][i - 1] = Fraction(1)

@@ -66,6 +66,23 @@ def test_malformed_input_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("exponent", [1.5, True])
+def test_non_integer_laurent_exponent_exit_two(capsys, exponent):
+    doc = {"schema": 1, "transition": [[[{"c": "1", "e": exponent}]]]}
+    code, out, err = run(capsys, "birkhoff", json.dumps(doc), "--json")
+    assert (code, out) == (2, "")
+    assert "bad exponent" in err
+
+
+def test_non_integer_polynomial_exponent_exit_two(capsys):
+    doc = xyz_system_doc()
+    doc["vars"], doc["fields"] = ["x", "y"], [[[], []], [[], []]]
+    doc["divisor"] = [{"c": "1", "e": [1.5, 0]}]
+    code, out, err = run(capsys, "saito-check", json.dumps(doc), "--json")
+    assert (code, out) == (2, "")
+    assert "bad exponent" in err
+
+
 def test_jc_emits_decomposition_with_weights(capsys):
     code, out, _ = run(capsys, "jc",
                        '{"schema":1,"matrix":[["0","-1"],["1","0"]]}', "--json")

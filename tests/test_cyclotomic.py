@@ -1,14 +1,20 @@
-"""Cyclotomic polynomials, the quotient-ring number type, and dense
-univariate helpers."""
+"""Cyclotomic polynomials, the quotient-ring number type, and univariate
+division, gcd and squarefree parts of one-variable MultiPoly values."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from logflat import univariate as uv
 from logflat.cyclotomic import (CycloNum, candidate_orders, cyclotomic_split,
                                 cyclotomic_upoly, euler_phi)
-from logflat.multipoly import MultiPoly
+from logflat.multipoly import MultiPoly, gcd, squarefree_part
+
+T = ("t",)
+
+
+def upoly(coeffs):
+    """A polynomial in t from its coefficients in ascending degree."""
+    return MultiPoly(T, {(k,): c for k, c in enumerate(coeffs)})
 
 
 def test_euler_phi():
@@ -17,21 +23,21 @@ def test_euler_phi():
 
 
 def test_cyclotomic_upoly_small_orders():
-    assert list(cyclotomic_upoly(1)) == [Fraction(-1), Fraction(1)]
-    assert list(cyclotomic_upoly(2)) == [Fraction(1), Fraction(1)]
-    assert list(cyclotomic_upoly(4)) == [Fraction(1), Fraction(0), Fraction(1)]
-    assert list(cyclotomic_upoly(6)) == [Fraction(1), Fraction(-1), Fraction(1)]
+    assert cyclotomic_upoly(1) == upoly([-1, 1])
+    assert cyclotomic_upoly(2) == upoly([1, 1])
+    assert cyclotomic_upoly(4) == upoly([1, 0, 1])
+    assert cyclotomic_upoly(6) == upoly([1, -1, 1])
 
 
 def test_product_of_cyclotomics_is_t_power_minus_one():
     for n in (1, 2, 3, 4, 6, 12):
-        prod = uv.upoly([1])
+        prod = upoly([1])
         for d in range(1, n + 1):
             if n % d == 0:
-                prod = uv.umul(prod, list(cyclotomic_upoly(d)))
-        expected = [Fraction(0)] * (n + 1)
-        expected[0], expected[n] = Fraction(-1), Fraction(1)
-        assert prod == uv.utrim(expected)
+                prod = prod * cyclotomic_upoly(d)
+        expected = [0] * (n + 1)
+        expected[0], expected[n] = -1, 1
+        assert prod == upoly(expected)
 
 
 def test_cyclotomic_split_peels_cyclotomic_factors():
@@ -40,8 +46,7 @@ def test_cyclotomic_split_peels_cyclotomic_factors():
     p = (t - one) * (t * t + one) * (t - 2 * one)
     factors, rem = cyclotomic_split(p)
     assert dict(factors) == {1: 1, 4: 1}
-    assert uv.umonic(uv.from_multipoly(rem)) == \
-        uv.from_multipoly(t - 2 * one)
+    assert rem * (1 / rem.leading()[1]) == t - 2 * one
 
 
 def test_candidate_orders_complete_for_small_degree():
@@ -77,29 +82,40 @@ def test_zeta_has_exact_order():
 def test_univariate_division_and_gcd():
     rng = random.Random(21)
     for _ in range(15):
-        a = uv.upoly([Fraction(rng.randrange(-4, 5)) for _ in range(5)])
-        b = uv.upoly([Fraction(rng.randrange(-4, 5)) for _ in range(3)])
+        a = upoly([rng.randrange(-4, 5) for _ in range(5)])
+        b = upoly([rng.randrange(-4, 5) for _ in range(3)])
         if not b:
             continue
-        q, r = uv.udivmod(a, b)
-        assert uv.uadd(uv.umul(q, b), r) == a
-        assert uv.udeg(r) < uv.udeg(b) or not r
-        g = uv.ugcd(a, b)
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.total_degree() < b.total_degree() or not r
+        g = gcd(a, b)
         if a and b:
-            _, r1 = uv.udivmod(a, g)
-            _, r2 = uv.udivmod(b, g)
+            _, r1 = divmod(a, g)
+            _, r2 = divmod(b, g)
             assert not r1 and not r2
 
 
 def test_ext_gcd_bezout():
-    a = uv.upoly([-1, 0, 1])     # t^2 - 1
-    b = uv.upoly([1, 1])         # t + 1
-    g, s, t = uv.uext_gcd(a, b)
-    assert uv.uadd(uv.umul(s, a), uv.umul(t, b)) == g
+    """The extended Euclid behind CycloNum.inverse: s * a = 1 modulo Phi_m."""
+    rng = random.Random(22)
+    for m in (1, 2, 3, 4, 5, 6, 8, 12):
+        phi = cyclotomic_upoly(m)
+        for _ in range(5):
+            a = CycloNum(m, [rng.randrange(-3, 4) for _ in range(4)])
+            if not a:
+                continue
+            s = a.inverse()
+            assert not divmod(s.poly * a.poly - 1, phi)[1]
+    with pytest.raises(ZeroDivisionError):
+        CycloNum.rational(4, 0).inverse()
+    # t + 1 is Phi_2 itself, and t^2 - 1 = -2 modulo Phi_4 = t^2 + 1
+    assert not CycloNum(2, [1, 1])
+    assert CycloNum(4, [-1, 0, 1]) == CycloNum.rational(4, -2)
 
 
 def test_squarefree_detection():
-    sq = uv.umul(uv.upoly([1, 1]), uv.upoly([1, 1]))
-    assert not uv.is_squarefree(sq)
-    assert uv.is_squarefree(uv.upoly([-1, 0, 1]))
-    assert uv.usquarefree(sq) == uv.upoly([1, 1])
+    sq = upoly([1, 1]) * upoly([1, 1])
+    assert not squarefree_part(sq)[1]
+    assert squarefree_part(upoly([-1, 0, 1]))[1]
+    assert squarefree_part(sq)[0] == upoly([1, 1])

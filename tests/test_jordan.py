@@ -11,7 +11,7 @@ from logflat.cyclotomic import CycloNum, cmat_from_rational, cmat_identity
 from logflat.jordan import (NotQuasiUnipotent, central_log, deligne_residue,
                             jordan_chevalley, matrix_exp_nilpotent, nilpotent_log,
                             quasi_unipotent_weights, well_behaved_check)
-from logflat.univariate import from_multipoly, is_squarefree
+from logflat.multipoly import MultiPoly, squarefree_part
 
 
 def rand_invertible(rng, n):
@@ -29,7 +29,7 @@ def test_jordan_chevalley_identities_random():
         pair = jordan_chevalley(m)
         assert qm.mat_eq(qm.mat_mul(pair.S, pair.U), m)
         assert qm.mat_eq(qm.mat_mul(pair.U, pair.S), m)
-        assert is_squarefree(from_multipoly(qm.minpoly(pair.S)))
+        assert squarefree_part(qm.minpoly(pair.S))[1]
         assert is_unipotent(pair.U)
         assert is_polynomial_in(pair.S, m)
 
@@ -44,8 +44,9 @@ def test_jordan_chevalley_jordan_block():
 def _rotation_order(k):
     """Companion matrix of the k-th cyclotomic polynomial: order exactly k."""
     from logflat.cyclotomic import cyclotomic_upoly
-    coeffs = list(cyclotomic_upoly(k))
-    d = len(coeffs) - 1
+    phi = cyclotomic_upoly(k)
+    d = phi.total_degree()
+    coeffs = [phi.coeff(i) for i in range(d + 1)]
     m = qm.zeros(d)
     for i in range(1, d):
         m[i][i - 1] = Fraction(1)
@@ -79,6 +80,13 @@ def test_non_quasi_unipotent_detected():
     data = quasi_unipotent_weights(qm.qmat([[2, 0], [0, 3]]))
     assert isinstance(data, NotQuasiUnipotent)
     assert not data
+    t = MultiPoly.var(("t",), "t")
+    assert data.factor == t * t - 5 * t + 6
+
+
+def test_weights_reject_non_semisimple():
+    with pytest.raises(ValueError, match="not semisimple"):
+        quasi_unipotent_weights(qm.qmat([[1, 1], [0, 1]]))
 
 
 def test_central_log_projector_identities():
