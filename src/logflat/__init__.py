@@ -14,7 +14,8 @@ multipoly, cyclotomic
 matrices
     The one matrix core: rational elimination, plus matrix arithmetic and
     fraction-free (Bareiss) determinants over any of the coefficient rings
-    (rationals, polynomials, Laurent polynomials, cyclotomic numbers).
+    (rationals, polynomials, Laurent polynomials, cyclotomic numbers), and
+    the one builder of rational rows for polynomial linear systems.
 saito
     Logarithmic vector fields, Saito's freeness criterion, weighted
     homogeneity, flatness of connection matrices in a frame of fields,

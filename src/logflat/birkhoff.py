@@ -17,7 +17,6 @@ Conventions, fixed once:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd as int_gcd
 
 from . import matrices as qm
@@ -157,28 +156,14 @@ def _h0_twist(t: Transition, j: int, einv: int) -> int:
     """dim of {s polynomial : z^{-j} T s is polynomial in 1/z}, the global
     sections of the twist by class j; einv is the top z-exponent of T^{-1},
     which bounds the degree of a section."""
-    n = t.rank
     dmax = j + einv
     if dmax < 0:
         return 0
-    # unknowns: coefficients of s_c at z^d, 0 <= d <= dmax
-    ncols = n * (dmax + 1)
-    rows = []
-    for i in range(n):
-        entries = [t.matrix[i][c].shift(-j) for c in range(n)]
-        top = max((p.max_exp() for p in entries if not p.is_zero()), default=0)
-        for e in range(1, top + dmax + 1):
-            row = [Fraction(0)] * ncols
-            nonzero = False
-            for c in range(n):
-                for d in range(dmax + 1):
-                    coef = entries[c].coeff(e - d)
-                    if coef != 0:
-                        row[c * (dmax + 1) + d] = coef
-                        nonzero = True
-            if nonzero:
-                rows.append(row)
-    return ncols - (qm.rank(rows) if rows else 0)
+    # unknowns: coefficients of s_c at z^d, 0 <= d <= dmax; T s must have
+    # no term above z^j
+    window = [(d,) for d in range(dmax + 1)]
+    rows, ncols = qm.coefficient_rows(t.matrix, [window] * t.rank)
+    return ncols - qm.rank([row for (_, (e,)), row in rows.items() if e > j])
 
 
 def splitting_type_rank_oracle(t: Transition) -> SplittingType:
@@ -291,36 +276,11 @@ def _h0_equivariant(et: EquivariantTransition, j: int, spread: int) -> int:
         return 0
     low = min(finite_lowers) - spread - 1
     # unknowns: psi_c coefficients at z^e, low <= e <= uppers[c]
-    offsets, ncols = [], 0
-    for c in range(m):
-        offsets.append(ncols)
-        if uppers[c] is not None and uppers[c] >= low:
-            ncols += uppers[c] - low + 1
-    if ncols == 0:
-        return 0
-    rows = []
-    for i in range(m):
-        entries = [et.tau.matrix[i][c] for c in range(m)]
-        lo_row = min((p.min_exp() for p in entries if not p.is_zero()), default=0)
-        hi_row = max((p.max_exp() for p in entries if not p.is_zero()), default=0)
-        hi_e = hi_row + max((u for u in uppers if u is not None), default=0)
-        cut = lowers[i]
-        for e in range(lo_row + low, hi_e + 1):
-            if cut is not None and e >= cut:
-                continue
-            row = [Fraction(0)] * ncols
-            nonzero = False
-            for c in range(m):
-                if uppers[c] is None or uppers[c] < low:
-                    continue
-                for d in range(low, uppers[c] + 1):
-                    coef = entries[c].coeff(e - d)
-                    if coef != 0:
-                        row[offsets[c] + (d - low)] = coef
-                        nonzero = True
-            if nonzero:
-                rows.append(row)
-    return ncols - (qm.rank(rows) if rows else 0)
+    windows = [[] if u is None else [(e,) for e in range(low, u + 1)]
+               for u in uppers]
+    rows, ncols = qm.coefficient_rows(et.tau.matrix, windows)
+    return ncols - qm.rank([row for (i, (e,)), row in rows.items()
+                            if lowers[i] is None or e < lowers[i]])
 
 
 def football_split(et: EquivariantTransition) -> list:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import serialize as ser
 from .birkhoff import (EquivariantTransition, birkhoff_factorize,
@@ -23,7 +22,7 @@ from .castling import (castling_chain, castling_transform, gen_nonextendable,
                        minor_product_divisor, minor_product_variables,
                        morita_rescale)
 from .extend import extend_connection
-from .filtrations import NotSplittable, toric_extendability
+from .filtrations import toric_extendability
 from .jordan import (NotQuasiUnipotent, jordan_chevalley,
                      quasi_unipotent_weights, well_behaved_check)
 from .matrices import det_bareiss, det_cofactor
@@ -104,7 +103,7 @@ def _cmd_jc(args):
             {"order": e.order, "exponent": e.exponent,
              "multiplicity": e.multiplicity, "weight": ser.frac_to_json(e.weight)}
             for e in data.entries]
-        witness["wellBehaved"] = well_behaved_check(pair.S, "SL")
+        witness["wellBehaved"] = well_behaved_check(data, "SL")
     cert = ser.certificate("decomposed", witness, doc)
     _emit(args, cert, f"semisimple/unipotent decomposition of a {len(m)}x{len(m)} matrix")
     return EXIT_OK

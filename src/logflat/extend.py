@@ -24,7 +24,7 @@ from math import gcd as int_gcd
 from .bilaurent import VARS, bmat_diag_monomial, bmat_from_laurent, bmat_mul
 from .birkhoff import birkhoff_factorize
 from .laurent import Transition, lmat_identity, lmat_inverse, lmat_mul
-from .multipoly import MultiPoly, normalize
+from .multipoly import MultiPoly
 from .saito import (LogConnection, SaitoSystem, VectorField, euler_check,
                     flatness_check, residue_at_origin)
 from . import matrices as qm
@@ -72,25 +72,36 @@ def _bl(terms=None):
     return MultiPoly(VARS, terms, laurent=True)
 
 
-def _apply_field(coeffs, m: list) -> list:
-    cx, cy = coeffs
-    return [[cx * entry.derivative("x") + cy * entry.derivative("y")
-             for entry in row] for row in m]
-
-
-def _gauge(omega: list, g: list, g_inv: list, field_coeffs) -> list:
+def _gauge(omega: list, g: list, g_inv: list, field: VectorField) -> list:
     """G^{-1} Omega G + G^{-1} xi(G): the connection matrix in the frame
     (old frame) . G."""
     return qm.mat_add(bmat_mul(bmat_mul(g_inv, omega), g),
-                      bmat_mul(g_inv, _apply_field(field_coeffs, g)))
+                      bmat_mul(g_inv, field.apply_matrix(g)))
 
 
-def _flat_bilaurent(omega_e, omega_d, fields_bl, w: Fraction) -> bool:
+def _chart_gauges(p: int, q: int, q_mat: list, r_mat: list, d_exps) -> tuple:
+    """(G_x, G_x^{-1}, G_y, G_y^{-1}) for T = Q(z) diag(z^{d_i}) R(1/z):
+    G_x = Q diag(x^{-q d_i / g}) and G_y = R^{-1} diag(y^{-p d_i / g}),
+    with z = x^{-q/g} y^{p/g}."""
+    g = int_gcd(p, q)
+    zx, zy = -q // g, p // g
+    gx = bmat_mul(bmat_from_laurent(q_mat, zx, zy),
+                  bmat_diag_monomial([-q * d // g for d in d_exps], "x"))
+    gx_inv = bmat_mul(bmat_diag_monomial([q * d // g for d in d_exps], "x"),
+                      bmat_from_laurent(lmat_inverse(q_mat), zx, zy))
+    gy = bmat_mul(bmat_from_laurent(lmat_inverse(r_mat), zx, zy),
+                  bmat_diag_monomial([-p * d // g for d in d_exps], "y"))
+    gy_inv = bmat_mul(bmat_diag_monomial([p * d // g for d in d_exps], "y"),
+                      bmat_from_laurent(r_mat, zx, zy))
+    return gx, gx_inv, gy, gy_inv
+
+
+def _flat_bilaurent(omega_e, omega_d, fields, w: Fraction) -> bool:
     """w Omega_delta = E(Omega_delta) - delta(Omega_E) + [Omega_E, Omega_delta],
     over two-variable Laurent polynomials."""
-    e_coeffs, d_coeffs = fields_bl
+    e_field, d_field = fields
     lhs = qm.mat_scale(omega_d, w)
-    rhs = qm.mat_sub(_apply_field(e_coeffs, omega_d), _apply_field(d_coeffs, omega_e))
+    rhs = qm.mat_sub(e_field.apply_matrix(omega_d), d_field.apply_matrix(omega_e))
     rhs = qm.mat_add(rhs, qm.mat_sub(bmat_mul(omega_e, omega_d),
                                      bmat_mul(omega_d, omega_e)))
     return qm.mat_eq(lhs, rhs)
@@ -149,10 +160,8 @@ def extend_connection(data: ConnectionData) -> ExtendedConnection:
     deg = euler_check(f, (p, q))
     if deg is None:
         raise ValueError("divisor is not weighted homogeneous for these weights")
-    g = int_gcd(p, q)
-    e_field, d_field = frame_fields(f, p, q)
+    fields = frame_fields(f, p, q)
     w = deg - p - q
-    fields_bl = (e_field.coefficients, d_field.coefficients)
     m = data.rank
     for mat in data.omega_x:
         if not all(entry.min_exp(1) >= 0 for row in mat for entry in row):
@@ -160,18 +169,18 @@ def extend_connection(data: ConnectionData) -> ExtendedConnection:
     for mat in data.omega_y:
         if not all(entry.min_exp(0) >= 0 for row in mat for entry in row):
             raise ValueError("y-chart matrix has a pole off y = 0")
-    if not _flat_bilaurent(*data.omega_x, fields_bl, w):
+    if not _flat_bilaurent(*data.omega_x, fields, w):
         raise ValueError("x-chart connection is not flat")
-    if not _flat_bilaurent(*data.omega_y, fields_bl, w):
+    if not _flat_bilaurent(*data.omega_y, fields, w):
         raise ValueError("y-chart connection is not flat")
 
     # transition as a two-variable object: z = x^{-q/g} y^{p/g}
+    g = int_gcd(p, q)
     zx, zy = -q // g, p // g
     t_bl = bmat_from_laurent(data.transition.matrix, zx, zy)
     t_inv_bl = bmat_from_laurent(lmat_inverse(data.transition.matrix), zx, zy)
-    for k, coeffs in enumerate(fields_bl):
-        expected = qm.mat_add(bmat_mul(bmat_mul(t_inv_bl, data.omega_x[k]), t_bl),
-                              bmat_mul(t_inv_bl, _apply_field(coeffs, t_bl)))
+    for k, field in enumerate(fields):
+        expected = _gauge(data.omega_x[k], t_bl, t_inv_bl, field)
         if not qm.mat_eq(expected, data.omega_y[k]):
             raise ValueError(f"charts are incompatible across the transition "
                              f"(frame field {k})")
@@ -184,22 +193,12 @@ def extend_connection(data: ConnectionData) -> ExtendedConnection:
     d_exps = tuple(-e for e in fac.diag)
     q_mat = [[entry.invert_variable() for entry in row] for row in fac.pminus]
     r_mat = [[entry.invert_variable() for entry in row] for row in fac.pplus]
-    q_inv = lmat_inverse(q_mat)
-    r_inv = lmat_inverse(r_mat)
-
-    gx = bmat_mul(bmat_from_laurent(q_mat, zx, zy),
-                  bmat_diag_monomial([-q * d // g for d in d_exps], "x"))
-    gx_inv = bmat_mul(bmat_diag_monomial([q * d // g for d in d_exps], "x"),
-                      bmat_from_laurent(q_inv, zx, zy))
-    gy = bmat_mul(bmat_from_laurent(r_inv, zx, zy),
-                  bmat_diag_monomial([-p * d // g for d in d_exps], "y"))
-    gy_inv = bmat_mul(bmat_diag_monomial([p * d // g for d in d_exps], "y"),
-                      bmat_from_laurent(r_mat, zx, zy))
+    gx, gx_inv, gy, gy_inv = _chart_gauges(p, q, q_mat, r_mat, d_exps)
 
     omegas = []
-    for k, coeffs in enumerate(fields_bl):
-        from_x = _gauge(data.omega_x[k], gx, gx_inv, coeffs)
-        from_y = _gauge(data.omega_y[k], gy, gy_inv, coeffs)
+    for k, field in enumerate(fields):
+        from_x = _gauge(data.omega_x[k], gx, gx_inv, field)
+        from_y = _gauge(data.omega_y[k], gy, gy_inv, field)
         if not qm.mat_eq(from_x, from_y):
             raise AssertionError("the two chart regaugings disagree")
         if not all(entry.is_polynomial() for row in from_x for entry in row):
@@ -207,7 +206,7 @@ def extend_connection(data: ConnectionData) -> ExtendedConnection:
         omegas.append([[MultiPoly(VARS, entry.terms) for entry in row]
                        for row in from_x])
 
-    system = SaitoSystem(fields=(e_field, d_field), divisor=f)
+    system = SaitoSystem(fields=fields, divisor=f)
     conn = LogConnection(system=system,
                          omegas=tuple(tuple(tuple(r) for r in om) for om in omegas),
                          rank=m)
@@ -262,11 +261,9 @@ def generate_connection_corpus(divisor: str, count: int, seed: int = 0):
     plant, and the extension pipeline re-derives everything.
     """
     p, q, fterms = DIVISORS[divisor]
-    g = int_gcd(p, q)
     f = MultiPoly(VARS, fterms)
-    e_field, d_field = frame_fields(f, p, q)
+    fields = frame_fields(f, p, q)
     w = euler_check(f, (p, q)) - p - q
-    fields_bl = (e_field.coefficients, d_field.coefficients)
     rng = random.Random(seed)
     monos = _weighted_monomials(p, q)
     out = []
@@ -285,7 +282,7 @@ def generate_connection_corpus(divisor: str, count: int, seed: int = 0):
                        [_bl(), _bl({(0, 0): alpha2})]]
             omega_d = [[_bl(), _bl({(i, j): c})],
                        [_bl(), _bl()]]
-        if not _flat_bilaurent(omega_e, omega_d, fields_bl, Fraction(w)):
+        if not _flat_bilaurent(omega_e, omega_d, fields, Fraction(w)):
             raise AssertionError("planted connection is not flat")
         q0 = _random_unimodular(rng, m, "z", antivariable=False)
         r0 = _random_unimodular(rng, m, "z", antivariable=True)
@@ -293,23 +290,15 @@ def generate_connection_corpus(divisor: str, count: int, seed: int = 0):
         dmat = [[MultiPoly(("z",), {(d[i],): int(i == j)}, laurent=True)
                  for j in range(m)] for i in range(m)]
         t = Transition(lmat_mul(lmat_mul(q0, dmat), r0))
-        zx, zy = -q // g, p // g
-        gx = bmat_mul(bmat_from_laurent(q0, zx, zy),
-                      bmat_diag_monomial([-q * di // g for di in d], "x"))
-        gx_inv = bmat_mul(bmat_diag_monomial([q * di // g for di in d], "x"),
-                          bmat_from_laurent(lmat_inverse(q0), zx, zy))
-        gy = bmat_mul(bmat_from_laurent(lmat_inverse(r0), zx, zy),
-                      bmat_diag_monomial([-p * di // g for di in d], "y"))
-        gy_inv = bmat_mul(bmat_diag_monomial([p * di // g for di in d], "y"),
-                          bmat_from_laurent(r0, zx, zy))
+        gx, gx_inv, gy, gy_inv = _chart_gauges(p, q, q0, r0, d)
         glob = (omega_e, omega_d)
         omega_x, omega_y = [], []
-        for k, coeffs in enumerate(fields_bl):
+        for k, field in enumerate(fields):
             # inverse of the regauging: chart matrix from the global one
             ox = qm.mat_sub(bmat_mul(bmat_mul(gx, glob[k]), gx_inv),
-                            bmat_mul(_apply_field(coeffs, gx), gx_inv))
+                            bmat_mul(field.apply_matrix(gx), gx_inv))
             oy = qm.mat_sub(bmat_mul(bmat_mul(gy, glob[k]), gy_inv),
-                            bmat_mul(_apply_field(coeffs, gy), gy_inv))
+                            bmat_mul(field.apply_matrix(gy), gy_inv))
             omega_x.append(ox)
             omega_y.append(oy)
         out.append(ConnectionData(p=p, q=q, divisor=f,

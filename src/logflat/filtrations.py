@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import matrices as qm
 from .matrices import (QMatrix, in_row_space, intersect_row_spaces, rank,
@@ -54,8 +53,7 @@ class Filtration:
         prev = full
         for j, rows in sorted(raw_steps, key=lambda s: s[0]):
             basis = row_space(qm.qmat(rows)) if rows else []
-            if len(basis) == len(prev) and all(in_row_space(v, prev) for v in basis) \
-                    and all(in_row_space(v, basis) for v in prev):
+            if basis == prev:     # both are canonical rref bases
                 continue
             cleaned.append((int(j), tuple(tuple(r) for r in basis)))
             prev = [list(r) for r in basis]
@@ -148,15 +146,6 @@ def split_pair(f1: Filtration, f2: Filtration) -> AdaptedBasis:
     return result
 
 
-def _intersection(filtrations, multi_index) -> QMatrix:
-    basis = filtrations[0].subspace(multi_index[0])
-    for f, j in zip(filtrations[1:], multi_index[1:]):
-        basis = intersect_row_spaces(basis, f.subspace(j))
-        if not basis:
-            return []
-    return basis
-
-
 def _avoiding_vector(space: QMatrix, forbidden: list, tries: int):
     """Vectors in rowspace(space) outside every forbidden subspace, produced
     deterministically: combinations sum lambda^i b_i for lambda = 0, 1, 2, ...
@@ -195,9 +184,14 @@ def simultaneous_split(filtrations):
     if any(f.dim != dim for f in filtrations):
         raise ValueError("ambient dimension mismatch")
 
+    # the multi-graded intersections, built one filtration at a time
     grids = [f.critical_indices() for f in filtrations]
-    cells = sorted(product(*grids), key=lambda J: (-sum(J), J))
-    dims = {J: len(_intersection(filtrations, J)) for J in cells}
+    spaces = {(j,): filtrations[0].subspace(j) for j in grids[0]}
+    for f, grid in zip(filtrations[1:], grids[1:]):
+        spaces = {J + (j,): intersect_row_spaces(space, f.subspace(j))
+                  for J, space in spaces.items() for j in grid}
+    cells = sorted(spaces, key=lambda J: (-sum(J), J))
+    dims = {J: len(space) for J, space in spaces.items()}
     # counting bound: inclusion-exclusion counts must be non-negative
     exact_counts = {}
     for J in cells:
@@ -226,19 +220,15 @@ def simultaneous_split(filtrations):
             return False
         if need == 0:
             return search(cell_idx + 1)
-        space = _intersection(filtrations, J)
         # candidates must have depth profile exactly J: forbid each
         # one-step-deeper intersection, and stay independent of the span.
         forbidden = []
-        for k, f in enumerate(filtrations):
+        for k in range(len(filtrations)):
             higher = [j for j in grids[k] if j > J[k]]
             if higher:
-                deeper = list(J)
-                deeper[k] = min(higher)
-                fb = _intersection(filtrations, tuple(deeper))
-                forbidden.append(fb if fb else [[Fraction(0)] * dim])
+                forbidden.append(spaces[J[:k] + (min(higher),) + J[k + 1:]])
         span = row_space(chosen) if chosen else []
-        for v in _avoiding_vector(space, forbidden + ([span] if span else []),
+        for v in _avoiding_vector(spaces[J], forbidden + ([span] if span else []),
                                   tries=dim + 4):
             if _depth_profile(filtrations, v) != J:
                 continue

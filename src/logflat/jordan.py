@@ -170,9 +170,10 @@ def central_log(s: QMatrix) -> SpectralLog:
                        matrix=tuple(tuple(row) for row in a))
 
 
-def well_behaved_check(s: QMatrix, group: str) -> bool:
-    """Whether the semisimple quasi-unipotent monodromy S admits a central
-    logarithm inside the given structure group.
+def well_behaved_check(data, group: str) -> bool:
+    """Whether the semisimple quasi-unipotent monodromy S with weight data
+    `data` (from quasi_unipotent_weights) admits a central logarithm inside
+    the given structure group.
 
     GL: always true (the centralizer is a product of general linear groups
     with connected centre).  SL: true iff the weights admit integer shifts,
@@ -181,17 +182,16 @@ def well_behaved_check(s: QMatrix, group: str) -> bool:
     group = group.upper()
     if group not in ("GL", "SL"):
         raise ValueError("group must be GL or SL")
-    data = quasi_unipotent_weights(s)
     if isinstance(data, NotQuasiUnipotent):
         raise ValueError(f"not quasi-unipotent: factor {data.factor!r}")
     if group == "GL":
         return True
-    if det_rational(s) != 1:
-        raise ValueError("SL check requires det S = 1")
+    # det S = exp(2 pi i * total) is rational, so it is +-1, and it is 1
+    # exactly when the weight sum is an integer
     total = sum((Fraction(e.multiplicity) * e.weight for e in data.entries),
                 Fraction(0))
     if total.denominator != 1:
-        raise AssertionError("det S = 1 forces an integer weight sum")
+        raise ValueError("SL check requires det S = 1")
     g = 0
     for e in data.entries:
         g = int_gcd(g, e.multiplicity)

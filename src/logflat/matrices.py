@@ -11,10 +11,19 @@ flag, Laurent polynomials in any number of variables) and CycloNum.
 det_bareiss divides exactly with the elements' exact_div, so it needs an
 integral domain (MultiPoly); det_cofactor, exponential, is kept only as an
 independent oracle for it.
+
+coefficient_rows is the one place where a polynomial linear system becomes
+rational rows: for a matrix of MultiPoly entries and an unknown vector s
+whose component s_c ranges over the monomials of a window (a list of
+exponent vectors), each coefficient of (entries * s)_i is a linear form in
+the unknown coefficients.  The section counts of the rank oracle and of the
+football split and the Saito structure constants all read their systems
+off these rows.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .multipoly import MultiPoly, _as_fraction
 
@@ -197,6 +206,33 @@ def in_row_space(v: list, a: QMatrix) -> bool:
         return False
     rows = [list(r) for r in a]
     return rank(rows + [list(v)]) == rank(rows)
+
+
+def coefficient_rows(entries, windows) -> tuple[dict, int]:
+    """Rows of the linear map s -> entries * s on coefficient vectors.
+
+    entries is a matrix of MultiPoly values and windows[c] the list of
+    exponent vectors that s_c may use; the unknowns are laid out window
+    after window.  Returns ({(i, e): row}, ncols) with one Fraction row per
+    coefficient z^e of (entries * s)_i that some unknown reaches; rows
+    appear in no particular order.  Only the nonzero terms of the entries
+    are visited.
+    """
+    offsets, ncols = [], 0
+    for window in windows:
+        offsets.append(ncols)
+        ncols += len(window)
+    rows: dict = {}
+    for i, entry_row in enumerate(entries):
+        for c, p in enumerate(entry_row):
+            for col, d in enumerate(windows[c], offsets[c]):
+                for a, coef in p.terms.items():
+                    key = (i, tuple(map(add, a, d)))
+                    row = rows.get(key)
+                    if row is None:
+                        row = rows[key] = [Fraction(0)] * ncols
+                    row[col] = coef
+    return rows, ncols
 
 
 # -- characteristic and minimal polynomials ----------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .multipoly import MultiPoly, gcd, normalize, squarefree_part
+from .multipoly import MultiPoly, normalize, squarefree_part
 from . import matrices as qm
 from .matrices import det_bareiss
 
@@ -152,43 +152,20 @@ def _solve_in_field_span(fields, target: VectorField, bound: int):
     sum_k c_k * delta_k = target, or None."""
     vs = target.vars
     monos = _monomials(vs, bound)
-    # unknowns: (k, mono); equations: coefficient of each monomial of each
-    # ambient component.
-    eq_index: dict[tuple[int, tuple], int] = {}
-    rows = []
-    rhs = []
-
-    def eq_row(v_idx, mono):
-        key = (v_idx, mono)
-        if key not in eq_index:
-            eq_index[key] = len(rows)
-            rows.append([Fraction(0)] * (len(fields) * len(monos)))
-            rhs.append(Fraction(0))
-        return eq_index[key]
-
-    for k, fld in enumerate(fields):
-        for v_idx, coef in enumerate(fld.coefficients):
-            for e, c in coef.terms.items():
-                for mi, mu in enumerate(monos):
-                    prod = tuple(a + b for a, b in zip(e, mu))
-                    r = eq_row(v_idx, prod)
-                    rows[r][k * len(monos) + mi] += c
-    for v_idx, coef in enumerate(target.coefficients):
-        for e, c in coef.terms.items():
-            r = eq_row(v_idx, e)
-            rhs[r] = c
-    sol = qm.solve(rows, rhs)
+    # unknowns: the coefficients of each c_k at monos; equations: the
+    # coefficient of each monomial of each ambient component
+    rows, ncols = qm.coefficient_rows(
+        qm.transpose([fld.coefficients for fld in fields]), [monos] * len(fields))
+    for i, coef in enumerate(target.coefficients):
+        for e in coef.terms:
+            rows.setdefault((i, e), [Fraction(0)] * ncols)
+    sol = qm.solve(list(rows.values()),
+                   [target.coefficients[i].coeff(*e) for i, e in rows])
     if sol is None:
         return None
-    out = []
-    for k in range(len(fields)):
-        terms = {}
-        for mi, mu in enumerate(monos):
-            c = sol[k * len(monos) + mi]
-            if c != 0:
-                terms[mu] = c
-        out.append(MultiPoly(vs, terms))
-    return out
+    n = len(monos)
+    return [MultiPoly(vs, dict(zip(monos, sol[k * n:(k + 1) * n])))
+            for k in range(len(fields))]
 
 
 def structure_constants(fields) -> dict:

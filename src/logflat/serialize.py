@@ -36,6 +36,9 @@ def frac_to_json(x) -> str:
 
 
 def frac_from_json(s) -> Fraction:
+    """A rational must be a JSON string or integer: not a float or a bool."""
+    if type(s) not in (str, int):
+        raise FormatError(f"bad rational {s!r}")
     try:
         return Fraction(s)
     except (ValueError, TypeError, ZeroDivisionError) as exc:

@@ -74,6 +74,14 @@ def test_non_integer_laurent_exponent_exit_two(capsys, exponent):
     assert "bad exponent" in err
 
 
+@pytest.mark.parametrize("coefficient", [0.1, True])
+def test_non_rational_coefficient_exit_two(capsys, coefficient):
+    doc = {"schema": 1, "transition": [[[{"c": coefficient, "e": 1}]]]}
+    code, out, err = run(capsys, "birkhoff", json.dumps(doc), "--json")
+    assert (code, out) == (2, "")
+    assert "bad rational" in err
+
+
 def test_non_integer_polynomial_exponent_exit_two(capsys):
     doc = xyz_system_doc()
     doc["vars"], doc["fields"] = ["x", "y"], [[[], []], [[], []]]

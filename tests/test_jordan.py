@@ -124,19 +124,30 @@ def test_central_log_projector_identities():
 
 def test_minus_identity_not_well_behaved_in_sl2():
     minus = qm.mat_scale(qm.identity(2), -1)
-    assert well_behaved_check(minus, "SL") is False
-    assert well_behaved_check(minus, "GL") is True
+    assert well_behaved_check(quasi_unipotent_weights(minus), "SL") is False
+    assert well_behaved_check(quasi_unipotent_weights(minus), "GL") is True
 
 
 def test_well_behaved_positive_case():
     # diag(-1, -1, 1, 1): weight sum 1, multiplicity gcd 1 in SL(4): shiftable
     m = qm.qmat([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     # weights: 1/2 with multiplicity 2, 0 with multiplicity 2; gcd = 2, sum = 1
-    assert well_behaved_check(m, "SL") is False
+    assert well_behaved_check(quasi_unipotent_weights(m), "SL") is False
     m2 = qm.qmat([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
-        well_behaved_check(qm.qmat([[2, 0], [0, 1]]), "SL")
-    assert well_behaved_check(m2, "SL") is True
+        well_behaved_check(quasi_unipotent_weights(qm.qmat([[2, 0], [0, 1]])), "SL")
+    assert well_behaved_check(quasi_unipotent_weights(m2), "SL") is True
+
+
+def test_sl_check_requires_det_one():
+    # diag(-1, 1, 1) and a rotation by pi/2 times -1: det S = -1, weight sums 1/2
+    for m in (qm.qmat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+              qm.qmat([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])):
+        data = quasi_unipotent_weights(m)
+        assert qm.det_rational(m) == -1
+        assert well_behaved_check(data, "GL") is True
+        with pytest.raises(ValueError, match="det S = 1"):
+            well_behaved_check(data, "SL")
 
 
 def test_nilpotent_log_exp_roundtrip():

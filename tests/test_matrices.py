@@ -108,6 +108,41 @@ def test_intersect_row_spaces():
     assert qm.in_row_space([Fraction(0), Fraction(1), Fraction(0)], inter)
 
 
+@pytest.mark.parametrize("vs,laurent", [(("z",), False), (("z",), True),
+                                         (("x", "y"), False), (("x", "y"), True)])
+def test_coefficient_rows_match_multiplication(vs, laurent):
+    """Applying the rows to a coefficient vector gives the coefficients of
+    entries * s, and every coefficient entries * s can reach has a row."""
+    rng = random.Random(11)
+    lo = -2 if laurent else 0
+
+    def exponent():
+        return tuple(rng.randint(lo, 3) for _ in vs)
+
+    for _ in range(30):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        entries = [[MultiPoly(vs, {exponent(): rng.randint(-3, 3)
+                                   for _ in range(rng.randint(0, 3))}, laurent)
+                    for _ in range(m)] for _ in range(n)]
+        windows = [sorted({exponent() for _ in range(rng.randint(0, 4))})
+                   for _ in range(m)]
+        coeffs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in w]
+                  for w in windows]
+        s = [MultiPoly(vs, dict(zip(w, cs)), laurent) for w, cs in zip(windows, coeffs)]
+        x = [c for cs in coeffs for c in cs]
+        rows, ncols = qm.coefficient_rows(entries, windows)
+        assert ncols == len(x)
+        product = [sum((entries[i][c] * s[c] for c in range(m)), MultiPoly(vs, laurent=laurent))
+                   for i in range(n)]
+        for (i, e), row in rows.items():
+            assert len(row) == ncols and any(row)
+            assert sum(a * b for a, b in zip(row, x)) == product[i].coeff(*e)
+        reachable = {(i, tuple(a + b for a, b in zip(t, d)))
+                     for i in range(n) for c in range(m)
+                     for t in entries[i][c].terms for d in windows[c]}
+        assert set(rows) == reachable
+
+
 def test_in_row_space():
     a = qm.qmat([[1, 1, 0], [0, 0, 1]])
     assert qm.in_row_space([Fraction(2), Fraction(2), Fraction(-1)], a)
