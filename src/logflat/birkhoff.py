@@ -39,6 +39,10 @@ class BirkhoffFactors:
             out[i][i] = MultiPoly((var,), {(e,): 1}, laurent=True)
         return out
 
+    def splitting_type(self) -> SplittingType:
+        """The classes n_i = -t_i read off the diagonal exponents."""
+        return SplittingType(tuple(sorted((-e for e in self.diag), reverse=True)))
+
 
 @dataclass(frozen=True)
 class SplittingType:
@@ -145,8 +149,7 @@ def _verify_factorization(t: Transition, f: BirkhoffFactors):
 
 
 def splitting_type(t: Transition) -> SplittingType:
-    f = birkhoff_factorize(t)
-    return SplittingType(tuple(sorted((-e for e in f.diag), reverse=True)))
+    return birkhoff_factorize(t).splitting_type()
 
 
 # -- independent rank oracle ----------------------------------------------

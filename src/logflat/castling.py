@@ -210,17 +210,13 @@ def gen_nonextendable(psi: list, n: int, rank: int):
     """
     k = n - 1
     images = [qm.qmat(m) for m in psi]
-    check_sl_relations(k, images)
-    basis = sl_basis(k)
-    offender = next((i for i, m in enumerate(images) if not is_zero_matrix(m)), None)
-    if offender is None:
-        raise ValueError("psi vanishes identically; the induced representation "
-                         "is pulled back and extends")
     rep = ResidueRep(rank=rank, torus_gens=(zeros(rank),), sl_size=k,
                      sl_gens=tuple(tuple(tuple(r) for r in m) for m in images))
     if residual_sl_trivial(rep):
-        raise AssertionError("nonzero psi produced a trivial residual action")
-    cert = NonExtendable(generator_name=basis[offender][0],
+        raise ValueError("psi vanishes identically; the induced representation "
+                         "is pulled back and extends")
+    offender = next(i for i, m in enumerate(images) if not is_zero_matrix(m))
+    cert = NonExtendable(generator_name=sl_basis(k)[offender][0],
                          generator=tuple(tuple(r) for r in images[offender]))
     return rep, cert
 

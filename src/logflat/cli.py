@@ -2,22 +2,26 @@
 
 Reads the shared JSON formats, dispatches to the library modules, and emits
 a certificate: {"schema": 1, "verdict": ..., "witness": ..., "inputDigest":
-sha256-of-canonical-input, "toolVersion": ...}.  Exit status 0 for
-affirmative verdicts (free / flat / splittable / extends / factorized),
-1 for negative verdicts (the certificate is still printed), 2 for malformed
-input.  With --json the certificate is printed as strict JSON; otherwise a
-short report precedes it.
+sha256-of-canonical-input, "toolVersion": ...}.  Each subcommand handler is
+a pure function (args, doc) -> (verdict, witness, report); `main` alone
+loads the document, prints the report line and the certificate, and picks
+the exit status from the verdict.  Exit status 0 for affirmative verdicts
+(free, flat, decomposed, splittable, factorized, split, extends, castled,
+generated), 1 for the negative verdicts in NEGATIVE_VERDICTS (not-free,
+not-flat, not-splittable, not-extendable, non-extendable; the certificate is
+still printed), 2 for malformed input.  With --json only the certificate is
+printed, as strict JSON; otherwise the short report line precedes it.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import serialize as ser
 from .birkhoff import (EquivariantTransition, birkhoff_factorize,
-                       football_split, splitting_type,
-                       splitting_type_rank_oracle)
+                       football_split, splitting_type_rank_oracle)
 from .castling import (castling_chain, castling_transform, gen_nonextendable,
                        minor_product_divisor, minor_product_variables,
                        morita_rescale)
@@ -32,6 +36,9 @@ from .serialize import FormatError
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_MALFORMED = 2
+
+NEGATIVE_VERDICTS = frozenset(
+    {"not-free", "not-flat", "not-splittable", "not-extendable", "non-extendable"})
 
 
 def _load(source: str):
@@ -52,45 +59,30 @@ def _load(source: str):
     return doc
 
 
-def _emit(args, cert: dict, report: str) -> None:
-    if args.json:
-        print(ser.canonical_dumps(cert))
-    else:
-        print(report)
-        print(ser.canonical_dumps(cert))
+# -- subcommand handlers: (args, doc) -> (verdict, witness, report) -------------
 
-
-# -- subcommand handlers ------------------------------------------------------
-
-def _cmd_saito_check(args):
-    doc = _load(args.input)
+def _cmd_saito_check(args, doc):
     system = ser.saito_system_from_json(doc)
     verdict = saito_check(system)
     if args.oracle and verdict.free:
         m = system.saito_matrix()
         if det_cofactor(m) != det_bareiss(m):
             raise AssertionError("determinant oracle disagreement")
-    witness = {"free": verdict.free, "reduced": verdict.reduced,
-               "unit": ser.frac_to_json(verdict.unit) if verdict.unit is not None else None,
+    unit = ser.frac_to_json(verdict.unit) if verdict.unit is not None else None
+    witness = {"free": verdict.free, "reduced": verdict.reduced, "unit": unit,
                "detail": verdict.witness}
-    cert = ser.certificate("free" if verdict.free else "not-free", witness, doc)
-    _emit(args, cert, f"free divisor: {verdict.free} (unit {witness['unit']})")
-    return EXIT_OK if verdict.free else EXIT_NEGATIVE
+    return ("free" if verdict.free else "not-free", witness,
+            f"free divisor: {verdict.free} (unit {unit})")
 
 
-def _cmd_flat_check(args):
-    doc = _load(args.input)
-    conn = ser.log_connection_from_json(doc)
-    result = flatness_check(conn)
+def _cmd_flat_check(args, doc):
+    result = flatness_check(ser.log_connection_from_json(doc))
     witness = {"flat": result.flat,
                "offendingPair": list(result.witness) if result.witness else None}
-    cert = ser.certificate("flat" if result.flat else "not-flat", witness, doc)
-    _emit(args, cert, f"flat: {result.flat}")
-    return EXIT_OK if result.flat else EXIT_NEGATIVE
+    return "flat" if result.flat else "not-flat", witness, f"flat: {result.flat}"
 
 
-def _cmd_jc(args):
-    doc = _load(args.input)
+def _cmd_jc(args, doc):
     ser._require(doc, "matrix")
     m = ser.qmat_from_json(doc["matrix"])
     if any(len(r) != len(m) for r in m):
@@ -104,13 +96,11 @@ def _cmd_jc(args):
              "multiplicity": e.multiplicity, "weight": ser.frac_to_json(e.weight)}
             for e in data.entries]
         witness["wellBehaved"] = well_behaved_check(data, "SL")
-    cert = ser.certificate("decomposed", witness, doc)
-    _emit(args, cert, f"semisimple/unipotent decomposition of a {len(m)}x{len(m)} matrix")
-    return EXIT_OK
+    return ("decomposed", witness,
+            f"semisimple/unipotent decomposition of a {len(m)}x{len(m)} matrix")
 
 
-def _cmd_split_filtrations(args):
-    doc = _load(args.input)
+def _cmd_split_filtrations(args, doc):
     filtrations = ser.filtrations_from_json(doc)
     verdict = toric_extendability(filtrations)
     if verdict.extends:
@@ -119,35 +109,27 @@ def _cmd_split_filtrations(args):
             raise AssertionError("adapted basis failed independent re-verification")
         witness = {"adaptedBasis": ser.qmat_to_json(basis.vectors),
                    "depths": [list(d) for d in basis.depths]}
-        cert = ser.certificate("splittable", witness, doc)
-        _emit(args, cert, "simultaneously splittable; adapted basis found")
-        return EXIT_OK
+        return "splittable", witness, "simultaneously splittable; adapted basis found"
     ns = verdict.witness
     witness = {"multiIndex": list(ns.multi_index), "detail": ns.detail,
                "dimensionTable": [list(r) for r in ns.dimension_table]}
-    cert = ser.certificate("not-splittable", witness, doc)
-    _emit(args, cert, f"not splittable at multi-index {ns.multi_index}")
-    return EXIT_NEGATIVE
+    return "not-splittable", witness, f"not splittable at multi-index {ns.multi_index}"
 
 
-def _cmd_birkhoff(args):
-    doc = _load(args.input)
+def _cmd_birkhoff(args, doc):
     t = ser.transition_from_json(doc)
     factors = birkhoff_factorize(t)
-    st = splitting_type(t)
+    st = factors.splitting_type()
     if args.oracle and splitting_type_rank_oracle(t) != st:
         raise AssertionError("splitting type disagrees with the rank oracle")
     witness = {"diagExponents": list(factors.diag),
                "splittingType": list(st.classes),
                "pminus": ser.lmat_to_json(factors.pminus),
                "pplus": ser.lmat_to_json(factors.pplus)}
-    cert = ser.certificate("factorized", witness, doc)
-    _emit(args, cert, f"splitting type {list(st.classes)}")
-    return EXIT_OK
+    return "factorized", witness, f"splitting type {list(st.classes)}"
 
 
-def _cmd_football_split(args):
-    doc = _load(args.input)
+def _cmd_football_split(args, doc):
     ser._require(doc, "p", "q", "isotropy0", "isotropyInf", "transition")
     try:
         et = EquivariantTransition(int(doc["p"]), int(doc["q"]),
@@ -157,67 +139,47 @@ def _cmd_football_split(args):
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     classes = football_split(et)
-    witness = {"classes": [ser.frac_to_json(c) for c in classes]}
-    cert = ser.certificate("split", witness, doc)
-    _emit(args, cert, f"orbifold splitting classes {[str(c) for c in classes]}")
-    return EXIT_OK
+    return ("split", {"classes": [ser.frac_to_json(c) for c in classes]},
+            f"orbifold splitting classes {[str(c) for c in classes]}")
 
 
-def _cmd_extend(args):
-    doc = _load(args.input)
+def _cmd_extend(args, doc):
     data = ser.connection_data_from_json(doc)
     try:
         ext = extend_connection(data)
     except ValueError as exc:
-        cert = ser.certificate("not-extendable", {"reason": str(exc)}, doc)
-        _emit(args, cert, f"does not extend: {exc}")
-        return EXIT_NEGATIVE
-    conn = ext.connection
+        return "not-extendable", {"reason": str(exc)}, f"does not extend: {exc}"
     witness = {"twistExponents": list(ext.twist_exponents),
                "gaugeX": [ser.poly_to_json(e) for row in ext.gauge_x for e in row],
                "gaugeY": [ser.poly_to_json(e) for row in ext.gauge_y for e in row],
-               "omegas": [ser.pmat_to_json(om) for om in conn.omegas]}
-    cert = ser.certificate("extends", witness, doc)
-    _emit(args, cert, f"extends; twist exponents {list(ext.twist_exponents)}")
-    return EXIT_OK
+               "omegas": [ser.pmat_to_json(om) for om in ext.connection.omegas]}
+    return "extends", witness, f"extends; twist exponents {list(ext.twist_exponents)}"
 
 
-def _cmd_castle(args):
-    doc = _load(args.input)
+def _cmd_castle(args, doc):
     d = ser.descriptor_from_json(doc)
     if args.chain is not None:
         dims = castling_chain(d, args.chain)
-        witness = {"dims": dims}
-        report = f"ambient dimension chain {dims}"
-    else:
-        out = castling_transform(d)
-        rescale = ser.frac_to_json(morita_rescale(d.r, d.n, 1))
-        witness = {"transformed": ser.descriptor_to_json(out),
-                   "weightRescale": rescale}
-        report = (f"castling partner: r = {out.r}, side = {out.side}, "
-                  f"weight rescale {rescale}")
-    cert = ser.certificate("castled", witness, doc)
-    _emit(args, cert, report)
-    return EXIT_OK
+        return "castled", {"dims": dims}, f"ambient dimension chain {dims}"
+    out = castling_transform(d)
+    rescale = ser.frac_to_json(morita_rescale(d.r, d.n, 1))
+    witness = {"transformed": ser.descriptor_to_json(out), "weightRescale": rescale}
+    return ("castled", witness, f"castling partner: r = {out.r}, side = {out.side}, "
+                                f"weight rescale {rescale}")
 
 
-def _cmd_gen_divisor(args):
-    doc = _load(args.input)
+def _cmd_gen_divisor(args, doc):
     ser._require(doc, "n")
     n = int(doc["n"])
     if n < 2:
         raise FormatError("need n >= 2")
     f = minor_product_divisor(n)
-    witness = {"vars": list(minor_product_variables(n)),
-               "divisor": ser.poly_to_json(f)}
-    cert = ser.certificate("generated", witness, doc)
-    _emit(args, cert, f"minor-product divisor in {len(witness['vars'])} variables, "
-                      f"{len(f.terms)} terms")
-    return EXIT_OK
+    names = list(minor_product_variables(n))
+    return ("generated", {"vars": names, "divisor": ser.poly_to_json(f)},
+            f"minor-product divisor in {len(names)} variables, {len(f.terms)} terms")
 
 
-def _cmd_gen_nonextendable(args):
-    doc = _load(args.input)
+def _cmd_gen_nonextendable(args, doc):
     ser._require(doc, "n", "rank", "psi")
     psi = [ser.qmat_from_json(m) for m in doc["psi"]]
     try:
@@ -227,14 +189,12 @@ def _cmd_gen_nonextendable(args):
     witness = {"offendingGenerator": nx.generator_name,
                "generator": ser.qmat_to_json(nx.generator),
                "slSize": rep.sl_size, "rank": rep.rank}
-    cert = ser.certificate("non-extendable", witness, doc)
-    _emit(args, cert,
-          f"residual sl({rep.sl_size}) action is nonzero "
-          f"(generator {nx.generator_name}); the connection does not extend")
-    return EXIT_NEGATIVE
+    return ("non-extendable", witness,
+            f"residual sl({rep.sl_size}) action is nonzero "
+            f"(generator {nx.generator_name}); the connection does not extend")
 
 
-# -- argument parsing ---------------------------------------------------------
+# -- argument parsing and the certificate pipeline ---------------------------------
 
 _HANDLERS = {
     "saito-check": _cmd_saito_check,
@@ -250,7 +210,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="logflat",
         description="Exact computations with logarithmic flat connections: "
@@ -273,10 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        doc = _load(args.input)
+        verdict, witness, report = _HANDLERS[args.command](args, doc)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    if not args.json:
+        print(report)
+    print(ser.canonical_dumps(ser.certificate(verdict, witness, doc)))
+    return EXIT_NEGATIVE if verdict in NEGATIVE_VERDICTS else EXIT_OK
 
 
 if __name__ == "__main__":

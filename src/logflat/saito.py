@@ -111,8 +111,9 @@ class SaitoVerdict:
 
 
 def saito_check(sys: SaitoSystem) -> SaitoVerdict:
-    """Saito's criterion: free iff det of the coefficient matrix equals a
-    nonzero rational multiple of the (reduced) divisor equation."""
+    """Saito's criterion: free iff the fields are logarithmic for f and det
+    of the coefficient matrix equals a nonzero rational multiple of the
+    (reduced) divisor equation."""
     d = det_bareiss(sys.saito_matrix())
     f = sys.divisor
     if d.is_zero():
@@ -124,6 +125,11 @@ def saito_check(sys: SaitoSystem) -> SaitoVerdict:
     if normalize(d) != normalize(f):
         return SaitoVerdict(False, None, True,
                             "determinant is not proportional to the divisor")
+    # the fields must be logarithmic, delta_i(f) in (f) (K. Saito 1980, 1.9)
+    for i, fld in enumerate(sys.fields):
+        if not f.divides(fld.apply(f)):
+            return SaitoVerdict(False, None, True, f"field {i} is not logarithmic: "
+                                                   f"f does not divide delta_{i}(f)")
     le, lc = d.leading()
     unit = lc / f.terms[le]
     return SaitoVerdict(True, unit, True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from logflat import matrices as qm
+from logflat import castling, matrices as qm
 from logflat.castling import (NonExtendable, PrehomDescriptor, ResidueRep,
                               castling_chain, castling_transform,
                               check_sl_relations, gen_nonextendable,
@@ -111,6 +111,22 @@ def test_gen_nonextendable_rejects_zero_psi():
     zero = [qm.zeros(2) for _ in sl_basis(2)]
     with pytest.raises(ValueError):
         gen_nonextendable(zero, 3, 2)
+
+
+def test_gen_nonextendable_checks_relations_once(monkeypatch):
+    calls = []
+
+    def counting(k, images):
+        calls.append(k)
+        return check_sl_relations(k, images)
+
+    monkeypatch.setattr(castling, "check_sl_relations", counting)
+    gen_nonextendable(sl2_fundamental(), 3, 2)
+    assert calls == [2]
+    bad = sl2_fundamental()
+    bad[2] = qm.mat_scale(bad[2], Fraction(-1))     # [e12, e21] != h1
+    with pytest.raises(ValueError, match="bracket relation"):
+        gen_nonextendable(bad, 3, 2)
 
 
 def test_pullback_residue_is_extendable():

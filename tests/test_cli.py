@@ -56,6 +56,18 @@ def test_saito_check_negative_exit_one(capsys):
     assert json.loads(out)["verdict"] == "not-free"
 
 
+def test_non_logarithmic_fields_not_free(capsys):
+    # x d/dy and y d/dx on f = xy: det = -f, but x d/dy (xy) = x^2 is not in (f)
+    doc = {"schema": 1, "vars": ["x", "y"], "divisor": [{"c": "1", "e": [1, 1]}],
+           "fields": [[[], [{"c": "1", "e": [1, 0]}]], [[{"c": "1", "e": [0, 1]}], []]]}
+    code, out, _ = run(capsys, "saito-check", json.dumps(doc), "--json", "--oracle")
+    assert code == 1
+    cert = json.loads(out)
+    assert cert["verdict"] == "not-free"
+    assert cert["witness"]["reduced"] is True and cert["witness"]["unit"] is None
+    assert "field 0 is not logarithmic" in cert["witness"]["detail"]
+
+
 def test_malformed_input_exit_two(capsys):
     code, _, err = run(capsys, "saito-check", '{"schema": 1}', "--json")
     assert code == 2
@@ -165,8 +177,17 @@ def test_castle_chain_and_transform(capsys):
     code, out, _ = run(capsys, "castle", json.dumps(doc), "--json")
     assert code == 0
     w = json.loads(out)["witness"]
+    assert "dims" not in w       # no parsed --chain leaks into the next call
     assert w["transformed"]["r"] == 2
     assert w["weightRescale"] == "-1/2"
+
+
+def test_usage_error_exits_two_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(["no-such-command", "{}"])
+        assert stop.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_gen_divisor(capsys):
