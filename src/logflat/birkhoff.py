@@ -103,15 +103,13 @@ def birkhoff_factorize(t: Transition) -> BirkhoffFactors:
                 if v[j] != 0:
                     total = total + m[i][j].shift(degs[k] - degs[j]) * v[j]
             m[i][k] = total
-        # fold the inverse elementary operation into Pplus (on the left)
-        inv_op = lmat_identity(n, var)
+        # fold the inverse column operation into Pplus as row operations:
+        # row k <- row k / v_k, then row j <- row j - v_j z^{deg_k - deg_j} row k
+        pplus[k] = [p * (1 / v[k]) for p in pplus[k]]
         for j in range(n):
-            if j == k:
-                inv_op[j][k] = MultiPoly((var,), {(0,): 1 / v[k]}, laurent=True)
-            elif v[j] != 0:
-                inv_op[j][k] = MultiPoly((var,), {(degs[k] - degs[j],): -v[j] / v[k]},
-                                         laurent=True)
-        pplus = lmat_mul(inv_op, pplus)
+            if j != k and v[j] != 0:
+                pplus[j] = [a - b.shift(degs[k] - degs[j]) * v[j]
+                            for a, b in zip(pplus[j], pplus[k])]
     # m is column-reduced: peel the degrees into D
     pminus = [[m[i][j].shift(-degs[j]) for j in range(n)] for i in range(n)]
     exps = [d - shift for d in degs]

@@ -11,6 +11,8 @@ generated), 1 for the negative verdicts in NEGATIVE_VERDICTS (not-free,
 not-flat, not-splittable, not-extendable, non-extendable; the certificate is
 still printed), 2 for malformed input.  With --json only the certificate is
 printed, as strict JSON; otherwise the short report line precedes it.
+--oracle adds independent cross-checks; split-filtrations needs none, since
+it always re-verifies its adapted basis.
 """
 from __future__ import annotations
 
@@ -27,8 +29,7 @@ from .castling import (castling_chain, castling_transform, gen_nonextendable,
                        morita_rescale)
 from .extend import extend_connection
 from .filtrations import toric_extendability
-from .jordan import (NotQuasiUnipotent, jordan_chevalley,
-                     quasi_unipotent_weights, well_behaved_check)
+from .jordan import NotQuasiUnipotent, jordan_chevalley, well_behaved_check
 from .matrices import det_bareiss, det_cofactor
 from .saito import flatness_check, saito_check
 from .serialize import FormatError
@@ -89,13 +90,12 @@ def _cmd_jc(args, doc):
         raise FormatError("matrix must be square")
     pair = jordan_chevalley(m)
     witness = {"S": ser.qmat_to_json(pair.S), "U": ser.qmat_to_json(pair.U)}
-    data = quasi_unipotent_weights(pair.S)
-    if not isinstance(data, NotQuasiUnipotent):
+    if not isinstance(pair.weights, NotQuasiUnipotent):
         witness["weights"] = [
             {"order": e.order, "exponent": e.exponent,
              "multiplicity": e.multiplicity, "weight": ser.frac_to_json(e.weight)}
-            for e in data.entries]
-        witness["wellBehaved"] = well_behaved_check(data, "SL")
+            for e in pair.weights.entries]
+        witness["wellBehaved"] = well_behaved_check(pair.weights, "SL")
     return ("decomposed", witness,
             f"semisimple/unipotent decomposition of a {len(m)}x{len(m)} matrix")
 
@@ -104,9 +104,7 @@ def _cmd_split_filtrations(args, doc):
     filtrations = ser.filtrations_from_json(doc)
     verdict = toric_extendability(filtrations)
     if verdict.extends:
-        basis = verdict.witness
-        if args.oracle and not basis.verify(filtrations):
-            raise AssertionError("adapted basis failed independent re-verification")
+        basis = verdict.witness     # simultaneous_split has verified it
         witness = {"adaptedBasis": ser.qmat_to_json(basis.vectors),
                    "depths": [list(d) for d in basis.depths]}
         return "splittable", witness, "simultaneously splittable; adapted basis found"
@@ -132,9 +130,10 @@ def _cmd_birkhoff(args, doc):
 def _cmd_football_split(args, doc):
     ser._require(doc, "p", "q", "isotropy0", "isotropyInf", "transition")
     try:
-        et = EquivariantTransition(int(doc["p"]), int(doc["q"]),
-                                   [int(v) for v in doc["isotropy0"]],
-                                   [int(v) for v in doc["isotropyInf"]],
+        et = EquivariantTransition(ser.int_from_json(doc["p"], "p"),
+                                   ser.int_from_json(doc["q"], "q"),
+                                   ser.ints_from_json(doc["isotropy0"], "isotropy0"),
+                                   ser.ints_from_json(doc["isotropyInf"], "isotropyInf"),
                                    ser.lmat_from_json(doc["transition"]))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
@@ -170,7 +169,7 @@ def _cmd_castle(args, doc):
 
 def _cmd_gen_divisor(args, doc):
     ser._require(doc, "n")
-    n = int(doc["n"])
+    n = ser.int_from_json(doc["n"], "n")
     if n < 2:
         raise FormatError("need n >= 2")
     f = minor_product_divisor(n)
@@ -183,7 +182,8 @@ def _cmd_gen_nonextendable(args, doc):
     ser._require(doc, "n", "rank", "psi")
     psi = [ser.qmat_from_json(m) for m in doc["psi"]]
     try:
-        rep, nx = gen_nonextendable(psi, int(doc["n"]), int(doc["rank"]))
+        rep, nx = gen_nonextendable(psi, ser.int_from_json(doc["n"], "n"),
+                                    ser.int_from_json(doc["rank"], "rank"))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     witness = {"offendingGenerator": nx.generator_name,

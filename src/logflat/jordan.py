@@ -2,11 +2,13 @@
 weight extraction, central logarithms in spectral form, Deligne residues,
 and the well-behaved-monodromy check.
 
-Everything is exact: the semisimple part is produced by Newton iteration
-against the squarefree part of the characteristic polynomial, weights are
-rationals q in [0,1) read off cyclotomic factors, and the logarithm of the
-semisimple part is a combination of spectral projectors over Q[t]/Phi_m.
-No floating point, no complex embedding.
+Everything is exact, and one characteristic polynomial chi of M serves the
+decomposition: chi(0) != 0 tests invertibility, the semisimple part S is
+produced by Newton iteration against the squarefree part of chi, and the
+weights of S (which shares chi), rationals q in [0,1), are read off its
+cyclotomic factors.  The logarithm of the semisimple part is a combination
+of spectral projectors over Q[t]/Phi_m.  No floating point, no complex
+embedding.
 """
 from __future__ import annotations
 
@@ -17,27 +19,29 @@ from math import gcd as int_gcd, lcm
 from . import matrices as qm
 from .cyclotomic import (CycloNum, cmat_from_rational, cmat_identity,
                          cyclotomic_split_upoly)
-from .matrices import (QMatrix, det_rational, eval_poly_at_matrix, identity,
-                       is_zero_matrix, mat_add, mat_eq, mat_inv, mat_mul,
-                       mat_scale, mat_sub, charpoly)
+from .matrices import (QMatrix, eval_poly_at_matrix, identity, is_zero_matrix,
+                       mat_add, mat_eq, mat_inv, mat_mul, mat_scale, mat_sub,
+                       charpoly)
 from .multipoly import squarefree_part
 
 
 @dataclass(frozen=True)
 class JCPair:
     """M = S*U = U*S with S semisimple (squarefree minimal polynomial) and
-    U unipotent."""
+    U unipotent; weights is the weight data of S, read off chi(M) = chi(S)."""
     S: QMatrix
     U: QMatrix
+    weights: WeightData | NotQuasiUnipotent
 
 
 def jordan_chevalley(m: QMatrix) -> JCPair:
     """Multiplicative Jordan-Chevalley decomposition of an invertible
-    rational matrix."""
+    rational matrix, with the weights of its semisimple part."""
     n = len(m)
-    if det_rational(m) == 0:
+    chi = charpoly(m)
+    if not chi.coeff(0):        # chi(0) = (-1)^n det m
         raise ValueError("matrix is singular")
-    p = squarefree_part(charpoly(m))[0]
+    p = squarefree_part(chi)[0]
     dp = p.derivative(p.vars[0])
     s = [row[:] for row in m]
     # Newton: s <- s - p(s) * p'(s)^{-1}; converges quadratically since
@@ -50,10 +54,8 @@ def jordan_chevalley(m: QMatrix) -> JCPair:
         s = mat_sub(s, mat_mul(ps, mat_inv(dps)))
     else:
         raise AssertionError("Newton iteration did not converge")
-    if not is_zero_matrix(eval_poly_at_matrix(p, s)):
-        raise AssertionError("Newton iteration did not converge")
     u = mat_mul(mat_inv(s), m)
-    return JCPair(S=s, U=u)
+    return JCPair(S=s, U=u, weights=_weights_from_charpoly(chi))
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,18 @@ def quasi_unipotent_weights(s: QMatrix):
     """WeightData for a semisimple rational matrix whose eigenvalues are all
     roots of unity, or a NotQuasiUnipotent failure value.
 
-    Everything comes from chi = charpoly(s): s is semisimple iff its minimal
-    polynomial is squarefree, that is iff rad(chi)(s) = 0, and one
-    cyclotomic split of chi gives each order with its multiplicity."""
+    s is semisimple iff its minimal polynomial is squarefree, that is iff
+    rad(chi)(s) = 0 for chi = charpoly(s); the weights are then read off
+    the same chi."""
     chi = charpoly(s)
     if not is_zero_matrix(eval_poly_at_matrix(squarefree_part(chi)[0], s)):
         raise ValueError("matrix is not semisimple (minimal polynomial not squarefree)")
+    return _weights_from_charpoly(chi)
+
+
+def _weights_from_charpoly(chi):
+    """Weights of a semisimple matrix with characteristic polynomial chi:
+    one cyclotomic split of chi gives each order with its multiplicity."""
     factors, rem = cyclotomic_split_upoly(chi)
     if rem.total_degree() > 0:
         # the non-cyclotomic part of the minimal polynomial, made monic
@@ -111,7 +119,7 @@ def quasi_unipotent_weights(s: QMatrix):
     entries.sort(key=lambda e: e.weight)
     m = lcm(*(e.order for e in entries))
     data = WeightData(entries=tuple(entries), field_order=m)
-    if data.dimension() != len(s):
+    if data.dimension() != chi.total_degree():
         raise AssertionError("weight multiplicities do not sum to the dimension")
     return data
 
@@ -172,8 +180,8 @@ def central_log(s: QMatrix) -> SpectralLog:
 
 def well_behaved_check(data, group: str) -> bool:
     """Whether the semisimple quasi-unipotent monodromy S with weight data
-    `data` (from quasi_unipotent_weights) admits a central logarithm inside
-    the given structure group.
+    `data` (JCPair.weights, or quasi_unipotent_weights(S)) admits a central
+    logarithm inside the given structure group.
 
     GL: always true (the centralizer is a product of general linear groups
     with connected centre).  SL: true iff the weights admit integer shifts,
@@ -241,7 +249,7 @@ def deligne_residue(m: QMatrix, branch: str = "[0,1)"):
     down by one.
     """
     jc = jordan_chevalley(m)
-    data = quasi_unipotent_weights(jc.S)
+    data = jc.weights
     if isinstance(data, NotQuasiUnipotent):
         return data
     if branch == "(-1,0]":

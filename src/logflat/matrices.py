@@ -164,23 +164,8 @@ def mat_inv(a: QMatrix) -> QMatrix:
 
 
 def det_rational(a: QMatrix) -> Fraction:
-    m = [row[:] for row in a]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+    """det a = (-1)^n chi_a(0), through the one Bareiss determinant."""
+    return (-1) ** len(a) * charpoly(a).coeff(0)
 
 
 def intersect_row_spaces(a: QMatrix, b: QMatrix) -> QMatrix:

@@ -52,11 +52,18 @@ def poly_to_json(p: MultiPoly) -> list:
             for e, c in sorted(p.terms.items())]
 
 
-def _exponent(v) -> int:
-    """An exponent must be a JSON integer: not a float, a string or a bool."""
+def int_from_json(v, what: str) -> int:
+    """An integer (the field `what`) must be a JSON integer: not a float, a
+    string or a bool."""
     if type(v) is not int:
-        raise FormatError(f"bad exponent {v!r}")
+        raise FormatError(f"bad {what} {v!r}")
     return v
+
+
+def ints_from_json(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise FormatError(f"{what} must be an array of integers")
+    return [int_from_json(x, what) for x in v]
 
 
 def poly_from_json(variables, data, laurent: bool = False) -> MultiPoly:
@@ -66,7 +73,7 @@ def poly_from_json(variables, data, laurent: bool = False) -> MultiPoly:
     for t in data:
         if not isinstance(t, dict) or "c" not in t or not isinstance(t.get("e"), list):
             raise FormatError(f"bad polynomial term {t!r}")
-        e = tuple(_exponent(v) for v in t["e"])
+        e = tuple(int_from_json(v, "exponent") for v in t["e"])
         if len(e) != len(variables):
             raise FormatError("exponent length does not match variable count")
         terms[e] = terms.get(e, Fraction(0)) + frac_from_json(t["c"])
@@ -84,7 +91,7 @@ def laurent_from_json(data, var: str = "z") -> MultiPoly:
     for t in data:
         if not isinstance(t, dict) or "c" not in t or "e" not in t:
             raise FormatError(f"bad Laurent term {t!r}")
-        e = (_exponent(t["e"]),)
+        e = (int_from_json(t["e"], "exponent"),)
         terms[e] = terms.get(e, Fraction(0)) + frac_from_json(t["c"])
     return MultiPoly((var,), terms, laurent=True)
 
@@ -174,7 +181,7 @@ def log_connection_from_json(data) -> LogConnection:
 
 def filtrations_from_json(data) -> list:
     _require(data, "dim", "filtrations")
-    dim = int(data["dim"])
+    dim = int_from_json(data["dim"], "dim")
     out = []
     for steps in data["filtrations"]:
         raw = []
@@ -182,7 +189,7 @@ def filtrations_from_json(data) -> list:
             if not isinstance(step, dict) or "j" not in step or "basis" not in step:
                 raise FormatError(f"bad filtration step {step!r}")
             basis = qmat_from_json(step["basis"]) if step["basis"] else []
-            raw.append((int(step["j"]), basis))
+            raw.append((int_from_json(step["j"], "j"), basis))
         try:
             out.append(Filtration.make(dim, raw))
         except ValueError as exc:
@@ -212,17 +219,13 @@ def connection_data_to_json(data: ConnectionData) -> dict:
 
 def connection_data_from_json(data) -> ConnectionData:
     _require(data, "p", "q", "divisor", "omegaX", "omegaY", "transition")
-    try:
-        transition = Transition(lmat_from_json(data["transition"]))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
     return ConnectionData(
-        p=int(data["p"]),
-        q=int(data["q"]),
+        transition=transition_from_json(data),
+        p=int_from_json(data["p"], "p"),
+        q=int_from_json(data["q"], "q"),
         divisor=poly_from_json(("x", "y"), data["divisor"]),
         omega_x=tuple(bmat_from_json(m) for m in data["omegaX"]),
         omega_y=tuple(bmat_from_json(m) for m in data["omegaY"]),
-        transition=transition,
     )
 
 
@@ -239,7 +242,8 @@ def descriptor_from_json(data) -> PrehomDescriptor:
             raise FormatError(f"bad group factor {f!r}")
         factors.append(tuple(f))
     try:
-        return PrehomDescriptor(n=int(data["n"]), r=int(data["r"]),
+        return PrehomDescriptor(n=int_from_json(data["n"], "n"),
+                                r=int_from_json(data["r"], "r"),
                                 factors=tuple(factors), side=str(data["side"]))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from logflat import cli, jordan
+from logflat import matrices as qm
 from logflat import serialize as ser
 from logflat.cli import main
 from logflat.extend import generate_connection_corpus
+from logflat.filtrations import AdaptedBasis
 from logflat.multipoly import MultiPoly
 from logflat.saito import SaitoSystem, VectorField
 
@@ -103,6 +106,55 @@ def test_non_integer_polynomial_exponent_exit_two(capsys):
     assert "bad exponent" in err
 
 
+FOOTBALL = {"schema": 1, "p": 2, "q": 3, "isotropy0": [1], "isotropyInf": [1],
+            "transition": [[[{"c": "1", "e": 0}]]]}
+CASTLE = {"schema": 1, "n": 3, "r": 1, "factors": [["Torus", 3]], "side": "primal"}
+SPLIT = {"schema": 1, "dim": 2, "filtrations": [[{"j": 1, "basis": [["1", "0"]]}]]}
+NONEXTENDABLE = {"schema": 1, "n": 3, "rank": 2, "psi": [
+    [["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]], [["1", "0"], ["0", "-1"]]]}
+EXTEND = ser.connection_data_to_json(generate_connection_corpus("cross", 1, seed=2)[0])
+
+
+def _with(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *inner, last = path
+    target = doc
+    for key in inner:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+NON_INTEGER_FIELDS = [
+    ("gen-divisor", {"schema": 1, "n": 2}, ["n"], 2.7),
+    ("gen-divisor", {"schema": 1, "n": 2}, ["n"], "x"),
+    ("gen-divisor", {"schema": 1, "n": 2}, ["n"], True),
+    ("football-split", FOOTBALL, ["p"], 2.9),
+    ("football-split", FOOTBALL, ["q"], "3"),
+    ("football-split", FOOTBALL, ["isotropy0"], 3),
+    ("football-split", FOOTBALL, ["isotropyInf", 0], 1.0),
+    ("gen-nonextendable", NONEXTENDABLE, ["n"], 3.0),
+    ("gen-nonextendable", NONEXTENDABLE, ["rank"], "2"),
+    ("split-filtrations", SPLIT, ["dim"], 2.5),
+    ("split-filtrations", SPLIT, ["filtrations", 0, 0, "j"], 1.5),
+    ("castle", CASTLE, ["n"], 3.9),
+    ("castle", CASTLE, ["r"], "1"),
+    ("extend", EXTEND, ["p"], 1.5),
+    ("extend", EXTEND, ["q"], "1"),
+]
+
+
+@pytest.mark.parametrize("cmd, doc, path, value", NON_INTEGER_FIELDS, ids=[
+    f"{cmd}-{[k for k in path if isinstance(k, str)][-1]}-{value!r}"
+    for cmd, _, path, value in NON_INTEGER_FIELDS])
+def test_non_integer_fields_exit_two(capsys, cmd, doc, path, value):
+    code, _, _ = run(capsys, cmd, json.dumps(doc), "--json")
+    assert code in (0, 1)
+    code, out, err = run(capsys, cmd, json.dumps(_with(doc, path, value)), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_jc_emits_decomposition_with_weights(capsys):
     code, out, _ = run(capsys, "jc",
                        '{"schema":1,"matrix":[["0","-1"],["1","0"]]}', "--json")
@@ -130,6 +182,46 @@ def test_split_filtrations_exit_codes(capsys):
                        "--json", "--oracle")
     assert code == 0
     assert json.loads(out)["verdict"] == "splittable"
+
+
+def test_jc_computes_one_characteristic_polynomial(capsys, monkeypatch):
+    charpoly, weights = qm.charpoly, jordan.quasi_unipotent_weights
+    chi_calls, weight_calls = [], []
+
+    def counting_charpoly(a, var="t"):
+        chi_calls.append(len(a))
+        return charpoly(a, var)
+
+    def counting_weights(s):
+        weight_calls.append(len(s))
+        return weights(s)
+
+    for module in (qm, jordan):
+        monkeypatch.setattr(module, "charpoly", counting_charpoly)
+    for module in (jordan, cli):
+        monkeypatch.setattr(module, "quasi_unipotent_weights", counting_weights,
+                            raising=False)
+    doc = {"schema": 1, "matrix": [["-1", "1", "0"], ["0", "-1", "0"], ["0", "0", "1"]]}
+    code, out, _ = run(capsys, "jc", json.dumps(doc), "--json")
+    assert code == 0
+    assert [e["weight"] for e in json.loads(out)["witness"]["weights"]] == ["0", "1/2"]
+    assert (chi_calls, weight_calls) == ([3], [])
+
+
+def test_split_filtrations_oracle_verifies_once(capsys, monkeypatch):
+    verify, calls = AdaptedBasis.verify, []
+
+    def counting(self, filtrations):
+        calls.append(len(self.vectors))
+        return verify(self, filtrations)
+
+    monkeypatch.setattr(AdaptedBasis, "verify", counting)
+    two_lines = {"schema": 1, "dim": 2, "filtrations": [
+        [{"j": 1, "basis": [["1", "0"]]}], [{"j": 1, "basis": [["0", "1"]]}]]}
+    code, out, _ = run(capsys, "split-filtrations", json.dumps(two_lines),
+                       "--json", "--oracle")
+    assert (code, json.loads(out)["verdict"]) == (0, "splittable")
+    assert calls == [2]
 
 
 def test_birkhoff_splitting_type(capsys):

@@ -76,6 +76,28 @@ def test_finite_order_weights():
             assert e.weight == Fraction(e.exponent, e.order) or e.order == 1
 
 
+def test_jc_pair_carries_weights_of_s():
+    rng = random.Random(43)
+    cases = [rand_invertible(rng, rng.randrange(1, 6)) for _ in range(20)]
+    cases += [m for _, m in FINITE_ORDER_FIXTURES]
+    # quasi-unipotent and not semisimple: conjugates of an order-3 rotation
+    # block beside a unipotent Jordan block
+    j = qm.zeros(4)
+    for r in range(2):
+        j[r][:2] = _rotation_order(3)[r]
+    j[2][2] = j[2][3] = j[3][3] = Fraction(1)
+    for _ in range(3):
+        p = rand_invertible(rng, 4)
+        cases.append(qm.mat_mul(qm.mat_mul(p, j), qm.mat_inv(p)))
+    cases.append(qm.qmat([[2, 1], [0, 3]]))
+    for m in cases:
+        pair = jordan_chevalley(m)
+        assert pair.weights == quasi_unipotent_weights(pair.S)
+    t = MultiPoly.var(("t",), "t")
+    assert isinstance(pair.weights, NotQuasiUnipotent)
+    assert pair.weights.factor == t * t - 5 * t + 6
+
+
 def test_non_quasi_unipotent_detected():
     data = quasi_unipotent_weights(qm.qmat([[2, 0], [0, 3]]))
     assert isinstance(data, NotQuasiUnipotent)
