@@ -180,7 +180,7 @@ def _cmd_gen_divisor(args, doc):
 
 def _cmd_gen_nonextendable(args, doc):
     ser._require(doc, "n", "rank", "psi")
-    psi = [ser.qmat_from_json(m) for m in doc["psi"]]
+    psi = [ser.qmat_from_json(m) for m in ser.array_from_json(doc["psi"], "psi")]
     try:
         rep, nx = gen_nonextendable(psi, ser.int_from_json(doc["n"], "n"),
                                     ser.int_from_json(doc["rank"], "rank"))

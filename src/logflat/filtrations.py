@@ -5,9 +5,9 @@ verdicts.
 A filtration stores its strictly decreasing steps as row-reduced bases; the
 full space sits below the smallest listed index and zero above the largest.
 Pairs always split (constructed through the bi-graded pieces); for longer
-tuples a counting bound plus a backtracking search over deepest
-multi-graded intersections decides splittability and produces either an
-adapted basis or a certificate naming an offending multi-index.
+tuples a counting bound plus one pass over the multi-graded intersections,
+deepest first, decides splittability and produces either an adapted basis
+or a certificate naming the first multi-index that cannot be filled.
 """
 from __future__ import annotations
 
@@ -127,10 +127,6 @@ class NotSplittable:
         return False
 
 
-def _depth_profile(filtrations, v) -> tuple:
-    return tuple(f.depth(v) for f in filtrations)
-
-
 def split_pair(f1: Filtration, f2: Filtration) -> AdaptedBasis:
     """Simultaneously split a pair of filtrations; always succeeds.
 
@@ -172,10 +168,12 @@ def simultaneous_split(filtrations):
     """AdaptedBasis adapted to every filtration, or a NotSplittable
     certificate.
 
-    Multi-indices are processed in decreasing total degree; at each one the
-    deficit of basis vectors lying in the multi-intersection is filled with
-    vectors of exactly that depth profile, backtracking over the
-    deterministic candidate stream when a later cell becomes infeasible.
+    Multi-indices are processed once each, in decreasing total degree; at
+    each one the deficit of basis vectors lying in the multi-intersection is
+    filled with vectors of exactly that depth profile from the deterministic
+    candidate stream.  The first cell that cannot be filled is the
+    certificate: no choice made earlier could have filled it (see the proof
+    in the body), so there is no backtracking.
     """
     filtrations = list(filtrations)
     if not filtrations:
@@ -203,58 +201,49 @@ def simultaneous_split(filtrations):
                 multi_index=J,
                 detail="dimension counts of the multi-graded intersections "
                        "are incompatible with any adapted basis",
-                dimension_table=tuple(sorted((K, dims[K]) for K in cells)))
+                dimension_table=tuple(sorted(dims.items())))
 
+    # One pass, deepest cells first.  Candidates for cell J lie in
+    # V_J = spaces[J] and outside each one-step-deeper intersection, so their
+    # depth profile is exactly J (AdaptedBasis.verify re-checks every depth).
+    # Backtracking could never change the verdict.  Let B be any adapted
+    # basis: exact_counts[J] is the number of vectors of B whose depth
+    # profile is exactly J.  The visited cells always form an up-set S, and
+    # span(chosen) = span{b in B : profile(b) in S}, so at cell J
+    # span(chosen) meets V_J in the sum of the deeper V_K.  Hence V_J has
+    # exactly exact_counts[J] dimensions outside span(chosen), every vector
+    # of V_J outside span(chosen) has profile exactly J, and the moment-curve
+    # stream of _avoiding_vector finds one: each forbidden proper subspace
+    # meets the curve at most dim V_J - 1 times.  Conversely, if every cell
+    # is filled, the dim chosen vectors are independent and exactly
+    # dim F_k^j of them lie in each step F_k^j: an adapted basis.  So a cell
+    # this pass cannot fill proves that the tuple does not split.
     chosen: list = []          # vectors
     profiles: list = []        # depth profiles, aligned with chosen
-
-    def count_at(J):
-        return sum(1 for p in profiles if all(a >= b for a, b in zip(p, J)))
-
-    def search(cell_idx: int) -> bool:
-        if cell_idx == len(cells):
-            return len(chosen) == dim and rank(chosen) == dim
-        J = cells[cell_idx]
-        need = dims[J] - count_at(J)
-        if need < 0:
-            return False
-        if need == 0:
-            return search(cell_idx + 1)
-        # candidates must have depth profile exactly J: forbid each
-        # one-step-deeper intersection, and stay independent of the span.
+    for J in filter(exact_counts.get, cells):      # cells that need vectors
         forbidden = []
         for k in range(len(filtrations)):
             higher = [j for j in grids[k] if j > J[k]]
             if higher:
                 forbidden.append(spaces[J[:k] + (min(higher),) + J[k + 1:]])
-        span = row_space(chosen) if chosen else []
-        for v in _avoiding_vector(spaces[J], forbidden + ([span] if span else []),
-                                  tries=dim + 4):
-            if _depth_profile(filtrations, v) != J:
-                continue
+        for _ in range(exact_counts[J]):
+            span = [row_space(chosen)] if chosen else []
+            v = next(_avoiding_vector(spaces[J], forbidden + span, tries=dim + 4), None)
+            if v is None:
+                return NotSplittable(
+                    multi_index=J,
+                    detail="no vector of this depth profile is independent "
+                           "of the vectors already chosen",
+                    dimension_table=tuple(sorted(dims.items())))
             chosen.append(v)
             profiles.append(J)
-            if search(cell_idx):     # stay on this cell until filled
-                return True
-            chosen.pop()
-            profiles.pop()
-        return False
 
-    if search(0):
-        order = sorted(range(len(chosen)),
-                       key=lambda i: (tuple(-d for d in profiles[i])))
-        basis = AdaptedBasis(
-            vectors=tuple(tuple(chosen[i]) for i in order),
-            depths=tuple(tuple(profiles[i]) for i in order))
-        if not basis.verify(filtrations):
-            raise AssertionError("constructed basis failed re-verification")
-        return basis
-    # exhausted: report the shallowest infeasible cell
-    worst = min(cells, key=lambda J: sum(J))
-    return NotSplittable(
-        multi_index=worst,
-        detail="backtracking search exhausted without an adapted basis",
-        dimension_table=tuple(sorted((K, dims[K]) for K in cells)))
+    order = sorted(range(len(chosen)), key=lambda i: tuple(-d for d in profiles[i]))
+    basis = AdaptedBasis(vectors=tuple(tuple(chosen[i]) for i in order),
+                         depths=tuple(profiles[i] for i in order))
+    if not basis.verify(filtrations):
+        raise AssertionError("constructed basis failed re-verification")
+    return basis
 
 
 @dataclass(frozen=True)
@@ -270,6 +259,4 @@ def toric_extendability(filtrations) -> ExtendabilityVerdict:
     """The equivariant bundle described by the filtration tuple extends over
     affine space iff the tuple splits simultaneously."""
     result = simultaneous_split(filtrations)
-    if isinstance(result, NotSplittable):
-        return ExtendabilityVerdict(False, result)
-    return ExtendabilityVerdict(True, result)
+    return ExtendabilityVerdict(not isinstance(result, NotSplittable), result)

@@ -60,10 +60,15 @@ def int_from_json(v, what: str) -> int:
     return v
 
 
-def ints_from_json(v, what: str) -> list:
+def array_from_json(v, what: str) -> list:
+    """The field `what` must be a JSON array."""
     if not isinstance(v, list):
-        raise FormatError(f"{what} must be an array of integers")
-    return [int_from_json(x, what) for x in v]
+        raise FormatError(f"{what} must be an array")
+    return v
+
+
+def ints_from_json(v, what: str) -> list:
+    return [int_from_json(x, what) for x in array_from_json(v, what)]
 
 
 def poly_from_json(variables, data, laurent: bool = False) -> MultiPoly:
@@ -159,11 +164,11 @@ def saito_system_to_json(sys: SaitoSystem) -> dict:
 
 def saito_system_from_json(data) -> SaitoSystem:
     _require(data, "vars", "divisor", "fields")
-    variables = tuple(str(v) for v in data["vars"])
+    variables = tuple(str(v) for v in array_from_json(data["vars"], "vars"))
     divisor = poly_from_json(variables, data["divisor"])
     fields = []
-    for coeffs in data["fields"]:
-        if len(coeffs) != len(variables):
+    for coeffs in array_from_json(data["fields"], "fields"):
+        if len(array_from_json(coeffs, "field")) != len(variables):
             raise FormatError("field coefficient count must equal dimension")
         fields.append(VectorField(tuple(poly_from_json(variables, c)
                                         for c in coeffs)))
@@ -173,7 +178,8 @@ def saito_system_from_json(data) -> SaitoSystem:
 def log_connection_from_json(data) -> LogConnection:
     _require(data, "omegas")
     system = saito_system_from_json(data)
-    omegas = tuple(pmat_from_json(system.vars, om) for om in data["omegas"])
+    omegas = tuple(pmat_from_json(system.vars, om)
+                   for om in array_from_json(data["omegas"], "omegas"))
     if not omegas:
         raise FormatError("need at least one connection matrix")
     return LogConnection(system, omegas, len(omegas[0]))
@@ -182,13 +188,18 @@ def log_connection_from_json(data) -> LogConnection:
 def filtrations_from_json(data) -> list:
     _require(data, "dim", "filtrations")
     dim = int_from_json(data["dim"], "dim")
+    if dim < 0:
+        raise FormatError(f"bad dim {dim}")
     out = []
-    for steps in data["filtrations"]:
+    for steps in array_from_json(data["filtrations"], "filtrations"):
         raw = []
-        for step in steps:
+        for step in array_from_json(steps, "filtration"):
             if not isinstance(step, dict) or "j" not in step or "basis" not in step:
                 raise FormatError(f"bad filtration step {step!r}")
-            basis = qmat_from_json(step["basis"]) if step["basis"] else []
+            basis = (qmat_from_json(step["basis"])
+                     if array_from_json(step["basis"], "basis") else [])
+            if basis and len(basis[0]) != dim:
+                raise FormatError("basis rows must have length dim")
             raw.append((int_from_json(step["j"], "j"), basis))
         try:
             out.append(Filtration.make(dim, raw))
@@ -224,8 +235,8 @@ def connection_data_from_json(data) -> ConnectionData:
         p=int_from_json(data["p"], "p"),
         q=int_from_json(data["q"], "q"),
         divisor=poly_from_json(("x", "y"), data["divisor"]),
-        omega_x=tuple(bmat_from_json(m) for m in data["omegaX"]),
-        omega_y=tuple(bmat_from_json(m) for m in data["omegaY"]),
+        omega_x=tuple(bmat_from_json(m) for m in array_from_json(data["omegaX"], "omegaX")),
+        omega_y=tuple(bmat_from_json(m) for m in array_from_json(data["omegaY"], "omegaY")),
     )
 
 
@@ -237,7 +248,7 @@ def descriptor_to_json(d: PrehomDescriptor) -> dict:
 def descriptor_from_json(data) -> PrehomDescriptor:
     _require(data, "n", "r", "factors", "side")
     factors = []
-    for f in data["factors"]:
+    for f in array_from_json(data["factors"], "factors"):
         if not isinstance(f, list) or not f or f[0] not in ("Torus", "SL", "Abstract"):
             raise FormatError(f"bad group factor {f!r}")
         factors.append(tuple(f))

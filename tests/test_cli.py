@@ -109,6 +109,9 @@ def test_non_integer_polynomial_exponent_exit_two(capsys):
 FOOTBALL = {"schema": 1, "p": 2, "q": 3, "isotropy0": [1], "isotropyInf": [1],
             "transition": [[[{"c": "1", "e": 0}]]]}
 CASTLE = {"schema": 1, "n": 3, "r": 1, "factors": [["Torus", 3]], "side": "primal"}
+SAITO = {"schema": 1, "vars": ["x", "y"], "divisor": [{"c": "1", "e": [1, 1]}],
+         "fields": [[[{"c": "1", "e": [1, 0]}], []], [[], [{"c": "1", "e": [0, 1]}]]]}
+FLAT = dict(SAITO, omegas=[[[[]]], [[[]]]])
 SPLIT = {"schema": 1, "dim": 2, "filtrations": [[{"j": 1, "basis": [["1", "0"]]}]]}
 NONEXTENDABLE = {"schema": 1, "n": 3, "rank": 2, "psi": [
     [["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]], [["1", "0"], ["0", "-1"]]]}
@@ -142,11 +145,28 @@ NON_INTEGER_FIELDS = [
     ("extend", EXTEND, ["p"], 1.5),
     ("extend", EXTEND, ["q"], "1"),
 ]
+# array fields given as something else, and split-filtrations dimensions
+MALFORMED_FIELDS = [
+    ("saito-check", SAITO, ["vars"], "xy"),
+    ("saito-check", SAITO, ["fields"], 3),
+    ("saito-check", SAITO, ["fields", 0], 4),
+    ("flat-check", FLAT, ["omegas"], 3),
+    ("split-filtrations", SPLIT, ["filtrations"], 5),
+    ("split-filtrations", SPLIT, ["filtrations"], [5]),
+    ("split-filtrations", dict(SPLIT, filtrations=[[]]), ["dim"], -1),
+    ("split-filtrations", SPLIT, ["filtrations", 0, 0, "basis"], [["1", "0", "0"]]),
+    ("split-filtrations", SPLIT, ["filtrations", 0, 0, "basis"], 0),
+    ("castle", CASTLE, ["factors"], 5),
+    ("gen-nonextendable", NONEXTENDABLE, ["psi"], 7),
+    ("extend", EXTEND, ["omegaX"], 3),
+    ("extend", EXTEND, ["omegaY"], 3),
+]
+BAD_FIELDS = NON_INTEGER_FIELDS + MALFORMED_FIELDS
 
 
-@pytest.mark.parametrize("cmd, doc, path, value", NON_INTEGER_FIELDS, ids=[
+@pytest.mark.parametrize("cmd, doc, path, value", BAD_FIELDS, ids=[
     f"{cmd}-{[k for k in path if isinstance(k, str)][-1]}-{value!r}"
-    for cmd, _, path, value in NON_INTEGER_FIELDS])
+    for cmd, _, path, value in BAD_FIELDS])
 def test_non_integer_fields_exit_two(capsys, cmd, doc, path, value):
     code, _, _ = run(capsys, cmd, json.dumps(doc), "--json")
     assert code in (0, 1)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import exhaustive_adapted_basis, grid_candidates, random_filtration
+from logflat import filtrations as filt
 from logflat import matrices as qm
 from logflat.filtrations import (AdaptedBasis, Filtration, NotSplittable,
                                  simultaneous_split, split_pair,
@@ -125,6 +126,33 @@ def test_not_splittable_certificate_contents():
     assert len(cert.multi_index) == 3
     assert cert.detail
     assert cert.dimension_table
+
+
+def test_not_distributive_triple_fails_at_first_unfillable_cell(monkeypatch):
+    # F3 is a line inside F1 + F2 that meets F1 and F2 only in 0, while
+    # F1 + F2 is 3-dimensional: an adapted basis would put F3's vector in the
+    # span of the basis vectors of F1 and F2, so the tuple cannot split.
+    # The counting bound passes; the one pass stops at the cell (1, 0, 0).
+    f1 = [[1, 0, 0, 0], [0, 1, 1, -1]]
+    f2 = [[0, 1, 0, -1], [0, 0, 1, 0]]
+    f3 = [[1, 0, -1, 0]]
+    assert qm.rank(f1 + f2) == 3 and qm.rank(f1 + f2 + f3) == 3
+    assert qm.rank(f1 + f3) == 3 and qm.rank(f2 + f3) == 3
+    streams = []
+
+    def counting(*args, **kwargs):
+        streams.append(args)
+        return avoiding(*args, **kwargs)
+
+    avoiding = filt._avoiding_vector
+    monkeypatch.setattr(filt, "_avoiding_vector", counting)
+    fs = [Filtration.make(4, [(1, f)]) for f in (f1, f2, f3)]
+    cert = simultaneous_split(fs)
+    assert isinstance(cert, NotSplittable)
+    assert cert.multi_index == (1, 0, 0)
+    assert "dimension counts" not in cert.detail
+    chosen = 3      # one vector each at (1, 1, 0), (0, 0, 1) and (0, 1, 0)
+    assert len(streams) <= chosen + 1
 
 
 def test_adapted_basis_verify_rejects_wrong_depths():

@@ -2,13 +2,14 @@
 with the cofactor expansion as an independent oracle."""
 import importlib
 import importlib.util
+import inspect
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from logflat import bilaurent, laurent
+from logflat import bilaurent, filtrations, laurent
 from logflat import matrices as qm
 from logflat.cyclotomic import CycloNum
 from logflat.multipoly import MultiPoly
@@ -202,7 +203,9 @@ def _load_tracer():
 def test_benchmark_observation_points_resolve():
     """The benchmark's tracer wraps these functions by name and rebinds every
     attribute holding the same object, so each must exist, and the Laurent
-    and bi-Laurent entry points must stay distinct from the generic core."""
+    and bi-Laurent entry points must stay distinct from the generic core.
+    It also counts the candidates of the filtration search by replacing the
+    generator `filtrations._avoiding_vector`."""
     tracer = _load_tracer()
     for module, funcs in tracer.LAYERS.items():
         mod = importlib.import_module(f"logflat.{module}")
@@ -216,3 +219,4 @@ def test_benchmark_observation_points_resolve():
     assert laurent.lmat_det is not qm.det_bareiss
     assert laurent.lmat_mul is not qm.mat_mul
     assert bilaurent.bmat_mul is not qm.mat_mul
+    assert inspect.isgeneratorfunction(filtrations._avoiding_vector)
