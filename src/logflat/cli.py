@@ -12,7 +12,9 @@ not-flat, not-splittable, not-extendable, non-extendable; the certificate is
 still printed), 2 for malformed input.  With --json only the certificate is
 printed, as strict JSON; otherwise the short report line precedes it.
 --oracle adds independent cross-checks; split-filtrations needs none, since
-it always re-verifies its adapted basis.
+it always re-verifies its adapted basis.  castle --chain N exits 2 unless
+0 <= N and 2^N * bits(n) <= CHAIN_BUDGET_BITS = 8192, a bound on the bits of
+the last dimension, since each step at most squares the dimension.
 """
 from __future__ import annotations
 
@@ -41,6 +43,8 @@ EXIT_MALFORMED = 2
 NEGATIVE_VERDICTS = frozenset(
     {"not-free", "not-flat", "not-splittable", "not-extendable", "non-extendable"})
 
+CHAIN_BUDGET_BITS = 8192    # keeps every chain dimension under 2,500 digits
+
 
 def _load(source: str):
     """Parse the input document from a path, inline JSON, or '-' (stdin)."""
@@ -53,7 +57,7 @@ def _load(source: str):
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
         doc = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # JSON and UTF-8 errors included
         raise FormatError(f"cannot read input: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("top-level document must be a JSON object")
@@ -158,6 +162,9 @@ def _cmd_extend(args, doc):
 def _cmd_castle(args, doc):
     d = ser.descriptor_from_json(doc)
     if args.chain is not None:
+        if args.chain < 0 or d.n.bit_length() > CHAIN_BUDGET_BITS >> args.chain:
+            raise FormatError(f"--chain {args.chain} from n = {d.n} needs N >= 0 and "
+                              f"2^N * bits(n) <= {CHAIN_BUDGET_BITS}")
         dims = castling_chain(d, args.chain)
         return "castled", {"dims": dims}, f"ambient dimension chain {dims}"
     out = castling_transform(d)

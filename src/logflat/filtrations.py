@@ -2,17 +2,18 @@
 splitting, the simultaneous-splitting decision, and toric extendability
 verdicts.
 
-A filtration stores its strictly decreasing steps as row-reduced bases; the
-full space sits below the smallest listed index and zero above the largest.
-Pairs always split (constructed through the bi-graded pieces); for longer
-tuples a counting bound plus one pass over the multi-graded intersections,
-deepest first, decides splittability and produces either an adapted basis
-or a certificate naming the first multi-index that cannot be filled.
+A filtration stores its strictly decreasing steps as canonical bases (see
+the matrices module); the full space sits below the smallest listed index
+and zero above the largest.  A counting bound plus one pass over the
+multi-graded intersections, deepest first, decides splittability and
+produces either an adapted basis or a certificate naming the first
+multi-index that cannot be filled; pairs always split.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import matrices as qm
 from .matrices import (QMatrix, in_row_space, intersect_row_spaces, rank,
@@ -23,40 +24,33 @@ from .matrices import (QMatrix, in_row_space, intersect_row_spaces, rank,
 class Filtration:
     """Decreasing, exhaustive, bounded Z-filtration of Q^m."""
     dim: int
-    steps: tuple   # tuple[(index, row-reduced basis rows)], ascending index
+    steps: tuple   # tuple[(index, canonical basis rows)], ascending index
 
     def __post_init__(self):
-        prev_rank = self.dim
-        prev_basis = None
-        last_j = None
+        prev_j, prev = None, qm.identity(self.dim)
         for j, basis in self.steps:
-            if last_j is not None and j <= last_j:
+            if prev_j is not None and j <= prev_j:
                 raise ValueError("step indices must be strictly increasing")
-            last_j = j
-            r = len(basis)
-            if r > prev_rank or (prev_basis is not None and r == prev_rank):
-                raise ValueError("subspaces must strictly decrease")
-            if prev_basis is not None:
-                for v in basis:
-                    if not in_row_space(v, prev_basis):
-                        raise ValueError("steps are not nested")
-            elif r == self.dim:
-                raise ValueError("first listed step must be a proper subspace")
-            prev_rank, prev_basis = r, basis
+            if list(map(list, basis)) != row_space(basis):
+                raise ValueError("step bases must be canonical (rref, no zero rows)")
+            if len(basis) >= len(prev):
+                raise ValueError("subspaces must strictly decrease, from a proper first step")
+            if not all(in_row_space(v, prev) for v in basis):
+                raise ValueError("steps are not nested")
+            prev_j, prev = j, basis
 
     @classmethod
     def make(cls, dim: int, raw_steps) -> Filtration:
         """Normalize raw (index, spanning rows) pairs: row-reduce, drop
         repeats of the previous subspace."""
-        full = qm.identity(dim)
         cleaned = []
-        prev = full
+        prev = qm.identity(dim)
         for j, rows in sorted(raw_steps, key=lambda s: s[0]):
-            basis = row_space(qm.qmat(rows)) if rows else []
-            if basis == prev:     # both are canonical rref bases
+            basis = row_space(qm.qmat(rows))
+            if basis == prev:     # both are canonical bases
                 continue
-            cleaned.append((int(j), tuple(tuple(r) for r in basis)))
-            prev = [list(r) for r in basis]
+            cleaned.append((int(j), tuple(map(tuple, basis))))
+            prev = basis
         return cls(dim=dim, steps=tuple(cleaned))
 
     def subspace(self, j: int) -> QMatrix:
@@ -66,7 +60,7 @@ class Filtration:
         for idx, basis in self.steps:
             if idx > j:
                 return current
-            current = [list(r) for r in basis]
+            current = basis
         return current
 
     def depth(self, v) -> int:
@@ -74,7 +68,7 @@ class Filtration:
         (reported as one past the largest index)."""
         d = self.min_index() - 1
         for idx, basis in self.steps:
-            if in_row_space(list(v), [list(r) for r in basis]):
+            if in_row_space(v, basis):
                 d = idx
             else:
                 break
@@ -98,19 +92,17 @@ class AdaptedBasis:
 
     def verify(self, filtrations) -> bool:
         """Re-verify the defining span conditions independently."""
-        vecs = [list(v) for v in self.vectors]
+        vecs = self.vectors
         if rank(vecs) != len(vecs) or len(vecs) != filtrations[0].dim:
             return False
         for k, f in enumerate(filtrations):
             for v, dpt in zip(vecs, self.depths):
                 if f.depth(v) != dpt[k]:
                     return False
+            # a vector of depth d lies in F^d, inside every F^j with j <= d
+            # (the steps are nested), so dim F^j independent members span it
             for j in f.critical_indices():
-                target = f.subspace(j)
-                members = [v for v, dpt in zip(vecs, self.depths) if dpt[k] >= j]
-                if len(members) != len(target):
-                    return False
-                if any(not in_row_space(v, target) for v in members):
+                if sum(dpt[k] >= j for dpt in self.depths) != len(f.subspace(j)):
                     return False
         return True
 
@@ -128,12 +120,8 @@ class NotSplittable:
 
 
 def split_pair(f1: Filtration, f2: Filtration) -> AdaptedBasis:
-    """Simultaneously split a pair of filtrations; always succeeds.
-
-    For each bi-index (i, j) a complement of
-    F1^{i+1} cap F2^j + F1^i cap F2^{j+1} inside F1^i cap F2^j is chosen;
-    the union of these complements is a basis adapted to both.
-    """
+    """Simultaneously split a pair of filtrations with simultaneous_split;
+    a pair always splits, so a NotSplittable result is an internal error."""
     if f1.dim != f2.dim:
         raise ValueError("ambient dimension mismatch")
     result = simultaneous_split([f1, f2])
@@ -182,12 +170,10 @@ def simultaneous_split(filtrations):
     if any(f.dim != dim for f in filtrations):
         raise ValueError("ambient dimension mismatch")
 
-    # the multi-graded intersections, built one filtration at a time
+    # the multi-graded intersections V_J
     grids = [f.critical_indices() for f in filtrations]
-    spaces = {(j,): filtrations[0].subspace(j) for j in grids[0]}
-    for f, grid in zip(filtrations[1:], grids[1:]):
-        spaces = {J + (j,): intersect_row_spaces(space, f.subspace(j))
-                  for J, space in spaces.items() for j in grid}
+    spaces = {J: intersect_row_spaces(*(f.subspace(j) for f, j in zip(filtrations, J)))
+              for J in product(*grids)}
     cells = sorted(spaces, key=lambda J: (-sum(J), J))
     dims = {J: len(space) for J, space in spaces.items()}
     # counting bound: inclusion-exclusion counts must be non-negative
@@ -227,8 +213,8 @@ def simultaneous_split(filtrations):
             if higher:
                 forbidden.append(spaces[J[:k] + (min(higher),) + J[k + 1:]])
         for _ in range(exact_counts[J]):
-            span = [row_space(chosen)] if chosen else []
-            v = next(_avoiding_vector(spaces[J], forbidden + span, tries=dim + 4), None)
+            span = row_space(chosen)
+            v = next(_avoiding_vector(spaces[J], forbidden + [span], tries=dim + 4), None)
             if v is None:
                 return NotSplittable(
                     multi_index=J,

@@ -3,6 +3,9 @@ arithmetic and determinants.
 
 Matrices are row-major sequences of rows (lists or tuples).  Elimination
 (rref, rank, solve, inverses) works over the rationals on Fraction entries.
+A subspace of Q^m is held as its canonical basis, the rref rows with no zero
+rows, as row_space, intersect_row_spaces and Filtration.subspace return it;
+in_row_space relies on this and runs no elimination.
 The helpers mat_add, mat_sub, mat_mul, mat_scale, mat_eq, is_zero_matrix,
 commutator, det_bareiss and det_cofactor work over any commutative ring
 whose elements support + - * and ==, and whose truth value is false
@@ -111,7 +114,7 @@ def rref(a: QMatrix) -> tuple[QMatrix, list[int]]:
         r += 1
         if r == rows:
             break
-    return m[:r] + m[r:], pivots
+    return m, pivots
 
 
 def row_space(a: QMatrix) -> QMatrix:
@@ -168,29 +171,23 @@ def det_rational(a: QMatrix) -> Fraction:
     return (-1) ** len(a) * charpoly(a).coeff(0)
 
 
-def intersect_row_spaces(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Canonical basis of rowspace(a) ∩ rowspace(b)."""
-    if not a or not b:
+def intersect_row_spaces(*spaces) -> QMatrix:
+    """Canonical basis of the intersection of the row spaces: the common
+    kernel of their equations (each space's nullspace)."""
+    if not all(spaces):
         return []
-    cols = len(a[0])
-    # x = u a = v b  <=>  [a^T | -b^T] (u, v)^T = 0
-    stacked = [[a[r][c] for r in range(len(a))] + [-b[r][c] for r in range(len(b))]
-               for c in range(cols)]
-    combos = nullspace(stacked)
-    vecs = []
-    for w in combos:
-        u = w[: len(a)]
-        vecs.append([sum(ui * a[i][c] for i, ui in enumerate(u)) for c in range(cols)])
-    return row_space(vecs) if vecs else []
+    equations = [e for space in spaces for e in nullspace(space)]
+    return row_space(nullspace(equations) if equations else spaces[0])
 
 
-def in_row_space(v: list, a: QMatrix) -> bool:
-    if all(c == 0 for c in v):
-        return True
-    if not a:
-        return False
-    rows = [list(r) for r in a]
-    return rank(rows + [list(v)]) == rank(rows)
+def in_row_space(v, basis) -> bool:
+    """v in the span of a canonical basis: subtract v[p] * row for each
+    row's pivot p and test what is left."""
+    for row in basis:
+        c = v[next(p for p, x in enumerate(row) if x)]
+        if c:
+            v = [x - c * y for x, y in zip(v, row)]
+    return not any(v)
 
 
 def coefficient_rows(entries, windows) -> tuple[dict, int]:

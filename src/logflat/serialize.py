@@ -245,17 +245,23 @@ def descriptor_to_json(d: PrehomDescriptor) -> dict:
             "factors": [list(f) for f in d.factors], "side": d.side}
 
 
+def _group_factor(f) -> tuple:
+    """["Torus", k >= 1], ["SL", k >= 2] or ["Abstract", name, dim >= 1]."""
+    least = {("Torus", 2): 1, ("SL", 2): 2, ("Abstract", 3): 1}    # by (kind, length)
+    shape = (f[0], len(f)) if isinstance(f, list) and f and isinstance(f[0], str) else None
+    if (shape not in least or shape[0] == "Abstract" and not isinstance(f[1], str)
+            or int_from_json(f[-1], "group factor size") < least[shape]):
+        raise FormatError(f"bad group factor {f!r}")
+    return tuple(f)
+
+
 def descriptor_from_json(data) -> PrehomDescriptor:
     _require(data, "n", "r", "factors", "side")
-    factors = []
-    for f in array_from_json(data["factors"], "factors"):
-        if not isinstance(f, list) or not f or f[0] not in ("Torus", "SL", "Abstract"):
-            raise FormatError(f"bad group factor {f!r}")
-        factors.append(tuple(f))
+    factors = tuple(map(_group_factor, array_from_json(data["factors"], "factors")))
     try:
         return PrehomDescriptor(n=int_from_json(data["n"], "n"),
                                 r=int_from_json(data["r"], "r"),
-                                factors=tuple(factors), side=str(data["side"]))
+                                factors=factors, side=str(data["side"]))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

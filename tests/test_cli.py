@@ -71,7 +71,7 @@ def test_non_logarithmic_fields_not_free(capsys):
     assert "field 0 is not logarithmic" in cert["witness"]["detail"]
 
 
-def test_malformed_input_exit_two(capsys):
+def test_malformed_input_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "saito-check", '{"schema": 1}', "--json")
     assert code == 2
     assert "error" in err
@@ -79,6 +79,15 @@ def test_malformed_input_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "birkhoff", "not json at all", "--json")
     assert code == 2
+    # an integer past Python's 4,300-digit conversion limit, invalid UTF-8
+    unreadable = {"huge-int.json": b'{"schema": 1, "n": ' + b"9" * 5000 + b"}",
+                  "not-utf8.json": b'{"schema": 1, "n": "\xff\xfe"}'}
+    for name, data in unreadable.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run(capsys, "gen-divisor", str(path), "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read input")
 
 
 @pytest.mark.parametrize("exponent", [1.5, True])
@@ -157,6 +166,14 @@ MALFORMED_FIELDS = [
     ("split-filtrations", SPLIT, ["filtrations", 0, 0, "basis"], [["1", "0", "0"]]),
     ("split-filtrations", SPLIT, ["filtrations", 0, 0, "basis"], 0),
     ("castle", CASTLE, ["factors"], 5),
+    ("castle", CASTLE, ["factors", 0], ["Torus", "x"]),
+    ("castle", CASTLE, ["factors", 0], ["Torus", 0]),
+    ("castle", CASTLE, ["factors", 0], ["Torus", 1, 2]),
+    ("castle", CASTLE, ["factors", 0], ["SL", 2.5]),
+    ("castle", CASTLE, ["factors", 0], ["SL", 1]),
+    ("castle", CASTLE, ["factors", 0], ["Abstract", 3, 2]),
+    ("castle", CASTLE, ["factors", 0], ["Abstract", "G", 0]),
+    ("castle", CASTLE, ["factors", 0], ["Abstract", "G"]),
     ("gen-nonextendable", NONEXTENDABLE, ["psi"], 7),
     ("extend", EXTEND, ["omegaX"], 3),
     ("extend", EXTEND, ["omegaY"], 3),
@@ -292,6 +309,24 @@ def test_castle_chain_and_transform(capsys):
     assert "dims" not in w       # no parsed --chain leaks into the next call
     assert w["transformed"]["r"] == 2
     assert w["weightRescale"] == "-1/2"
+
+
+@pytest.mark.parametrize("n, chain, code", [
+    (3, "-2", 2), (3, "16", 2), (3, "13", 2), (3, str(10 ** 20), 2),
+    (2, "13", 2), (3, "0", 0), (3, "12", 0), (2, "12", 0), (6, "3", 0)])
+def test_castle_chain_budget(capsys, n, chain, code):
+    """--chain N runs only when 2^N * bits(n) fits in the 8192-bit budget,
+    and every dimension it prints then stays under Python's 4,300-digit
+    int-to-str limit."""
+    doc = dict(CASTLE, n=n)
+    got, out, err = run(capsys, "castle", json.dumps(doc), "--chain", chain, "--json")
+    assert got == code
+    if code == 2:
+        assert out == "" and err.startswith("error: --chain")
+    else:
+        dims = json.loads(out)["witness"]["dims"]
+        assert len(dims) == int(chain) + 1
+        assert dims[-1].bit_length() <= cli.CHAIN_BUDGET_BITS
 
 
 def test_usage_error_exits_two_on_every_call(capsys):

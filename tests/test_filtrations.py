@@ -35,6 +35,24 @@ def test_filtration_rejects_non_nested():
                                  (1, ((Fraction(0), Fraction(1)),))))
 
 
+def test_filtration_rejects_non_canonical_basis():
+    # (2, 0) spans the same line as the canonical (1, 0)
+    with pytest.raises(ValueError):
+        Filtration(dim=2, steps=((0, ((2, 0),)),))
+
+
+def test_depth_runs_no_elimination(monkeypatch):
+    """Membership is one reduction against the stored canonical bases."""
+    f = Filtration.make(3, [(1, [[1, 2, 0], [0, 1, 1]]), (3, [[1, 3, 1]])])
+    calls = []
+    real_rref = qm.rref
+    monkeypatch.setattr(qm, "rref", lambda a: calls.append(a) or real_rref(a))
+    assert [f.depth(v) for v in ([1, 3, 1], [0, 1, 1], [0, 0, 1], [0, 0, 0])] == [3, 1, 0, 3]
+    assert qm.in_row_space([2, 6, 2], f.subspace(3))
+    assert calls == []
+    assert qm.rank([[1, 0], [0, 1]]) == 2 and len(calls) == 1    # the patch is live
+
+
 def test_depth():
     f = Filtration.make(3, [(1, [[1, 0, 0], [0, 1, 0]]), (3, [[1, 0, 0]])])
     assert f.depth([1, 0, 0]) == 3

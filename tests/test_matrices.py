@@ -150,6 +150,41 @@ def test_in_row_space():
     assert not qm.in_row_space([Fraction(1), Fraction(0), Fraction(0)], a)
 
 
+def random_canonical_basis(rng, dim):
+    """Canonical basis of the span of 0..dim+1 sparse random rows: the zero
+    space, proper subspaces and the full space all occur."""
+    rows = [[Fraction(rng.choice((0, 0, 1, -1, 2)), rng.randint(1, 3)) for _ in range(dim)]
+            for _ in range(rng.randint(0, dim + 1))]
+    return qm.row_space(rows)
+
+
+def test_canonical_basis_core_matches_rank_definitions():
+    """in_row_space on canonical bases agrees with rank(a + [v]) == rank(a);
+    the k-way intersection is canonical, agrees with the pairwise fold, and
+    has dim A + dim B - dim(A + B) for a pair."""
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        spaces = [random_canonical_basis(rng, dim) for _ in range(3)]
+        spaces[rng.randrange(3)] = rng.choice([[], qm.identity(dim), spaces[0]])
+        a, b, c = spaces
+        seen.update(len(s) for s in spaces if len(s) in (0, dim))
+        for space in spaces:
+            inside = [sum((rng.randint(-2, 2) * r[i] for r in space), Fraction(0))
+                      for i in range(dim)]
+            anywhere = [Fraction(rng.randint(-1, 1)) for _ in range(dim)]
+            for v in (inside, anywhere, [Fraction(0)] * dim):
+                assert qm.in_row_space(v, space) == (qm.rank(space + [v]) == len(space))
+        pair = qm.intersect_row_spaces(a, b)
+        assert len(pair) == len(a) + len(b) - qm.rank(a + b)
+        assert all(qm.in_row_space(v, a) and qm.in_row_space(v, b) for v in pair)
+        triple = qm.intersect_row_spaces(a, b, c)
+        assert triple == qm.intersect_row_spaces(pair, c) == qm.row_space(triple)
+        assert qm.intersect_row_spaces(a) == a
+    assert seen == {0, 1, 2, 3, 4}      # the zero space, and the full space in every dim
+
+
 RING_ELEMENTS = {
     "Fraction": lambda rng: Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)),
     "MultiPoly": lambda rng: MultiPoly(("x", "y"), {
