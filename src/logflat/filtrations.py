@@ -3,8 +3,9 @@ splitting, the simultaneous-splitting decision, and toric extendability
 verdicts.
 
 A filtration stores its strictly decreasing steps as canonical bases (see
-the matrices module); the full space sits below the smallest listed index
-and zero above the largest.  A counting bound plus one pass over the
+the matrices module); the full space sits below the smallest listed index,
+and above the largest the last listed step stands (the zero space only when
+it is listed as a step).  A counting bound plus one pass over the
 multi-graded intersections, deepest first, decides splittability and
 produces either an adapted basis or a certificate naming the first
 multi-index that cannot be filled; pairs always split.
@@ -54,8 +55,9 @@ class Filtration:
         return cls(dim=dim, steps=tuple(cleaned))
 
     def subspace(self, j: int) -> QMatrix:
-        """Basis of F^j (full space below the smallest index, zero above the
-        largest listed nonzero step)."""
+        """Basis of F^j: the full space below the smallest index, else the
+        step at the largest listed index <= j, so the last listed basis
+        for every j above the largest index."""
         current = qm.identity(self.dim)
         for idx, basis in self.steps:
             if idx > j:
@@ -64,8 +66,9 @@ class Filtration:
         return current
 
     def depth(self, v) -> int:
-        """Largest j with v in F^j; the zero vector has depth +infinity
-        (reported as one past the largest index)."""
+        """Largest listed index j with v in F^j, or one below the smallest
+        index if v lies in no step; the zero vector, which lies in every
+        F^j, has the largest listed index as its depth."""
         d = self.min_index() - 1
         for idx, basis in self.steps:
             if in_row_space(v, basis):

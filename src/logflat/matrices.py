@@ -2,7 +2,11 @@
 arithmetic and determinants.
 
 Matrices are row-major sequences of rows (lists or tuples).  Elimination
-(rref, rank, solve, inverses) works over the rationals on Fraction entries.
+(rref, rank, nullspace, solve, inverses, intersections) has one kernel,
+fraction-free Bareiss elimination on integer rows: each row of Fraction or
+int entries is scaled by the lcm of its denominators, every division in
+the elimination is exact, and Fractions appear only in the rows returned;
+rank builds none.
 A subspace of Q^m is held as its canonical basis, the rref rows with no zero
 rows, as row_space, intersect_row_spaces and Filtration.subspace return it;
 in_row_space relies on this and runs no elimination.
@@ -26,11 +30,14 @@ off these rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
 from .multipoly import MultiPoly, _as_fraction
 
 QMatrix = list  # list[list[Fraction]]
+
+_ZERO = Fraction(0)
 
 
 # -- rational matrices -------------------------------------------------
@@ -91,30 +98,92 @@ def transpose(a: QMatrix) -> QMatrix:
     return [list(col) for col in zip(*a)]
 
 
-def rref(a: QMatrix) -> tuple[QMatrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = [row[:] for row in a]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+def _integer_rows(a) -> list:
+    """Each row of rationals (Fraction or int) times the lcm of its
+    denominators: int rows with the same row space, fresh lists."""
+    out = []
+    for row in a:
+        den = lcm(*[x.denominator for x in row])
+        out.append([x.numerator for x in row] if den == 1 else
+                   [x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(m: list, reduce: bool = True) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of the int rows m, in place;
+    returns the pivot columns and d, the last pivot (1 if there is none).
+
+    At the pivot p in column c every other row taking part, including rows
+    with a zero in column c, becomes (p * row - row[c] * pivot_row) // prev,
+    prev being the previous pivot.  Each entry stays a minor of m, so every
+    division is exact (Bareiss 1968, Sylvester's identity).  Rows below the
+    pivot always take part; with reduce (Gauss-Jordan) the rows above do
+    too, and at the end the pivot rows come first and each equals d times
+    its rref row, the rows below them zero.  Without reduce (the forward
+    half) the pivot rows are left in echelon form, which is all rank needs.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots, prev, r = [], 1, 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        tail = prow[c:]
+        for i in range(r + 1, nrows):      # columns before c are zero here
+            row = m[i]
+            f = row[c]
+            row[c:] = ([(p * x - f * y) // prev for x, y in zip(row[c:], tail)] if f
+                       else [p * x // prev for x in row[c:]])
+        if reduce:
+            for i in range(r):
+                row = m[i]
+                f = row[c]
+                m[i] = ([(p * x - f * y) // prev for x, y in zip(row, prow)] if f
+                        else [p * x // prev for x in row])
         pivots.append(c)
+        prev = p
         r += 1
-        if r == rows:
+        if r == nrows:
             break
-    return m, pivots
+    return pivots, prev
+
+
+def _divided(row, d: int) -> list:
+    """The int row divided by d, as Fractions."""
+    return [Fraction(x, d) if x else _ZERO for x in row]
+
+
+def _primitive(row: list) -> list:
+    """The nonzero int row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
+def _kernel_rows(m: list) -> tuple[list, int]:
+    """Integer rows spanning the right kernel of the int rows m (consumed),
+    and d: dividing each by d gives the nullspace basis, whose free column
+    holds 1."""
+    pivots, d = _eliminate(m)
+    cols = len(m[0]) if m else 0
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[fc] = d
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis, d
+
+
+def rref(a: QMatrix) -> tuple[QMatrix, list[int]]:
+    """Reduced row echelon form, as Fractions, and pivot column indices."""
+    m = _integer_rows(a)
+    pivots, d = _eliminate(m)
+    return [_divided(row, d) for row in m], pivots
 
 
 def row_space(a: QMatrix) -> QMatrix:
@@ -124,46 +193,35 @@ def row_space(a: QMatrix) -> QMatrix:
 
 
 def rank(a: QMatrix) -> int:
-    return len(rref(a)[1])
+    return len(_eliminate(_integer_rows(a), reduce=False)[0])
 
 
 def nullspace(a: QMatrix) -> QMatrix:
     """Basis (as rows) of the right kernel of a."""
-    if not a:
-        return []
-    red, pivots = rref(a)
-    cols = len(a[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    basis, d = _kernel_rows(_integer_rows(a))
+    return [_divided(v, d) for v in basis]
 
 
 def solve(a: QMatrix, b: list) -> list | None:
     """One solution of a x = b, or None if inconsistent."""
-    aug = [row[:] + [bb] for row, bb in zip(a, b)]
-    red, pivots = rref(aug)
+    m = _integer_rows([[*row, bb] for row, bb in zip(a, b)])
+    pivots, d = _eliminate(m)
     cols = len(a[0]) if a else 0
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
+    x = [_ZERO] * cols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
+        x[pc] = Fraction(m[r][cols], d)
     return x
 
 
 def mat_inv(a: QMatrix) -> QMatrix:
     n = len(a)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
+    m = _integer_rows([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)])
+    pivots, d = _eliminate(m)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
+    return [_divided(row[n:], d) for row in m]
 
 
 def det_rational(a: QMatrix) -> Fraction:
@@ -176,8 +234,17 @@ def intersect_row_spaces(*spaces) -> QMatrix:
     kernel of their equations (each space's nullspace)."""
     if not all(spaces):
         return []
-    equations = [e for space in spaces for e in nullspace(space)]
-    return row_space(nullspace(equations) if equations else spaces[0])
+    # Integer rows throughout.  A kernel row carries the factor d of its
+    # elimination, which for a canonical basis is the product of the rows'
+    # denominator lcms; dividing out each row's content keeps the next
+    # elimination's entries small.
+    equations = [_primitive(e) for space in spaces
+                 for e in _kernel_rows(_integer_rows(space))[0]]
+    if not equations:
+        return row_space(spaces[0])
+    m = [_primitive(v) for v in _kernel_rows(equations)[0]]
+    pivots, d = _eliminate(m)
+    return [_divided(row, d) for row in m[: len(pivots)]]
 
 
 def in_row_space(v, basis) -> bool:

@@ -6,6 +6,79 @@ from logflat import matrices as qm
 from logflat.filtrations import Filtration
 
 
+def fraction_rref(a):
+    """Reduced row echelon form and pivot columns by Gauss-Jordan elimination
+    on Fractions: the independent oracle for the library's fraction-free
+    integer kernel."""
+    m = [[Fraction(x) for x in row] for row in a]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def fraction_nullspace(a):
+    """Kernel basis read off fraction_rref: one row per free column, 1 there."""
+    if not a:
+        return []
+    red, pivots = fraction_rref(a)
+    cols = len(a[0])
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def fraction_solve(a, b):
+    """One solution of a x = b through fraction_rref, or None."""
+    red, pivots = fraction_rref([list(row) + [bb] for row, bb in zip(a, b)])
+    cols = len(a[0]) if a else 0
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
+
+
+def fraction_inverse(a):
+    """Inverse through fraction_rref of [a | I], or None if a is singular."""
+    n = len(a)
+    red, pivots = fraction_rref([list(row) + [int(i == j) for j in range(n)]
+                                 for i, row in enumerate(a)])
+    return [row[n:] for row in red] if pivots == list(range(n)) else None
+
+
+def fraction_intersection(*spaces):
+    """Canonical basis of the intersection, through fraction_rref."""
+    if not all(spaces):
+        return []
+    equations = [e for space in spaces for e in fraction_nullspace(space)]
+    red, pivots = fraction_rref(fraction_nullspace(equations) if equations else spaces[0])
+    return red[: len(pivots)]
+
+
 def random_filtration(rng, dim, max_steps=3, index_range=(-2, 4)):
     """A random bounded decreasing filtration: prefix spans of a random
     full-rank basis at strictly increasing indices."""

@@ -45,12 +45,15 @@ def test_depth_runs_no_elimination(monkeypatch):
     """Membership is one reduction against the stored canonical bases."""
     f = Filtration.make(3, [(1, [[1, 2, 0], [0, 1, 1]]), (3, [[1, 3, 1]])])
     calls = []
-    real_rref = qm.rref
-    monkeypatch.setattr(qm, "rref", lambda a: calls.append(a) or real_rref(a))
+    real_eliminate = qm._eliminate
+    monkeypatch.setattr(qm, "_eliminate",
+                        lambda *args, **kw: calls.append(args) or real_eliminate(*args, **kw))
     assert [f.depth(v) for v in ([1, 3, 1], [0, 1, 1], [0, 0, 1], [0, 0, 0])] == [3, 1, 0, 3]
     assert qm.in_row_space([2, 6, 2], f.subspace(3))
     assert calls == []
-    assert qm.rank([[1, 0], [0, 1]]) == 2 and len(calls) == 1    # the patch is live
+    # the patch is live: rank and rref both run the one kernel
+    assert qm.rank([[1, 0], [0, 1]]) == 2 and len(calls) == 1
+    assert qm.rref([[1, 0], [0, 1]])[1] == [0, 1] and len(calls) == 2
 
 
 def test_depth():
@@ -59,6 +62,19 @@ def test_depth():
     assert f.depth([0, 1, 0]) == 1
     assert f.depth([0, 0, 1]) == 0
     assert f.depth([1, 1, 1]) == 0
+
+
+def test_zero_vector_depth_and_subspace_above_the_last_step():
+    """The zero vector's depth is the largest listed index, and above that
+    index F^j is the last listed basis, zero only when listed as a step;
+    certificates carry these values."""
+    f = Filtration.make(3, [(1, [[1, 2, 0], [0, 1, 1]]), (3, [[1, 3, 1]])])
+    assert f.depth([0, 0, 0]) == 3
+    assert f.subspace(4) == f.subspace(100) == ((Fraction(1), Fraction(3), Fraction(1)),)
+    assert f.subspace(0) == qm.identity(3)
+    g = Filtration.make(2, [(0, [[1, 0]]), (2, [])])
+    assert g.depth([0, 0]) == 2
+    assert g.subspace(1) == ((Fraction(1), Fraction(0)),) and g.subspace(5) == ()
 
 
 def test_split_pair_random_with_verification():

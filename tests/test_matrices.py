@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import (fraction_intersection, fraction_inverse, fraction_nullspace,
+                      fraction_rref, fraction_solve)
 from logflat import bilaurent, filtrations, laurent
 from logflat import matrices as qm
 from logflat.cyclotomic import CycloNum
@@ -76,6 +78,83 @@ def test_rank_nullspace_dimension_formula():
         assert r + len(null) == cols
         for v in null:
             assert all(sum(row[j] * v[j] for j in range(cols)) == 0 for row in a)
+
+
+def test_rref_of_int_entries_is_exact():
+    red, pivots = qm.rref([[3, 1]])
+    assert (red, pivots) == ([[1, Fraction(1, 3)]], [0])
+    assert all(type(x) is Fraction for row in red for x in row)
+
+
+def random_rational_matrix(rng, rows, cols):
+    """A random matrix with one of three entry scales (small Fractions,
+    denominators up to 10^6, plain ints up to 2^70) and one structure:
+    dense, rank-deficient, a zero row, a zero column or a repeated row.
+    Returns (matrix, structure)."""
+    scale = rng.choice(("small", "denominators", "integers"))
+
+    def entry():
+        if rng.random() < 0.25:
+            return 0 if scale == "integers" else Fraction(0)
+        if scale == "small":
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if scale == "denominators":
+            return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        return rng.randint(-2**70, 2**70)
+
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    structure = rng.choice(("dense", "deficient", "zero row", "zero column", "repeated row"))
+    if structure == "deficient":
+        k = rng.randrange(rows)
+        for i in range(k, rows):      # rows past k combine the first k
+            coeffs = [rng.randint(-3, 3) for _ in range(k)]
+            m[i] = [sum(c * m[t][j] for t, c in enumerate(coeffs)) for j in range(cols)]
+    elif structure == "zero row":
+        m[rng.randrange(rows)] = [0] * cols
+    elif structure == "zero column":
+        c = rng.randrange(cols)
+        for row in m:
+            row[c] = 0
+    elif structure == "repeated row":
+        m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+    return m, structure
+
+
+def test_integer_kernel_matches_fraction_oracle():
+    """rref, rank, nullspace, solve, mat_inv and intersect_row_spaces agree
+    exactly with Fraction Gauss-Jordan on random matrices from 1x1 to 8x10."""
+    rng = random.Random(20)
+    shapes = [(1, 1), (8, 10)] + [(rng.randint(1, 8), rng.randint(1, 10)) for _ in range(298)]
+    seen, deficient = set(), 0
+    for rows, cols in shapes:
+        a, structure = random_rational_matrix(rng, rows, cols)
+        seen.add(structure)
+        red, pivots = fraction_rref(a)
+        result = qm.rref(a)
+        assert result == (red, pivots)
+        assert all(type(x) is Fraction for row in result[0] for x in row)
+        assert qm.rank(a) == len(pivots)
+        deficient += len(pivots) < min(rows, cols)
+        assert qm.nullspace(a) == fraction_nullspace(a)
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+        consistent = [sum((r * c for r, c in zip(row, x)), Fraction(0)) for row in a]
+        anything = [Fraction(rng.randint(-3, 3)) for _ in range(rows)]
+        for b in (consistent, anything):
+            assert qm.solve(a, b) == fraction_solve(a, b)
+        n = min(rows, cols)
+        square = [row[:n] for row in a[:n]]
+        inverse = fraction_inverse(square)
+        if inverse is None:
+            with pytest.raises(ValueError):
+                qm.mat_inv(square)
+        else:
+            assert qm.mat_inv(square) == inverse
+        spaces = [qm.row_space(a)] + [qm.row_space(random_rational_matrix(
+            rng, rng.randint(1, cols), cols)[0]) for _ in range(2)]
+        assert qm.intersect_row_spaces(*spaces[:2]) == fraction_intersection(*spaces[:2])
+        assert qm.intersect_row_spaces(*spaces) == fraction_intersection(*spaces)
+    assert seen == {"dense", "deficient", "zero row", "zero column", "repeated row"}
+    assert deficient >= 50
 
 
 def test_charpoly_cayley_hamilton():
