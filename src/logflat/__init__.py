@@ -18,8 +18,7 @@ matrices
     the one builder of rational rows for polynomial linear systems.
 saito
     Logarithmic vector fields, Saito's freeness criterion, weighted
-    homogeneity, flatness of connection matrices in a frame of fields,
-    residues.
+    homogeneity, flatness of connection matrices in a frame of fields.
 jordan
     Jordan-Chevalley decomposition, quasi-unipotent weight data, the
     spectral central logarithm with verified projector identities.

@@ -146,10 +146,6 @@ def _verify_factorization(t: Transition, f: BirkhoffFactors):
         raise AssertionError("reconstruction Pminus*D*Pplus != T failed")
 
 
-def splitting_type(t: Transition) -> SplittingType:
-    return birkhoff_factorize(t).splitting_type()
-
-
 # -- independent rank oracle ----------------------------------------------
 
 

@@ -163,12 +163,11 @@ def check_sl_relations(k: int, images: list) -> None:
 @dataclass(frozen=True)
 class ResidueRep:
     """Residue-level representation data: commuting torus generators, an
-    sl(k) action given on the basis of sl_basis(k), and the scaling weight."""
+    sl(k) action given on the basis of sl_basis(k)."""
     rank: int
     torus_gens: tuple
     sl_size: int
     sl_gens: tuple
-    weight_on_scaling: Fraction = Fraction(0)
 
     def verify(self) -> None:
         for m in list(self.torus_gens) + list(self.sl_gens):
@@ -223,30 +222,12 @@ def gen_nonextendable(psi: list, n: int, rank: int):
 
 def pullback_residue(rank: int, sl_size: int, torus_gens=None) -> ResidueRep:
     """Residue data of a representation pulled back through the quotient
-    that kills the special-linear factor: the sl generators are zero."""
+    that kills the special-linear factor: the sl generators are zero.
+
+    No subcommand emits it; acceptance criterion 10 checks it."""
     k = sl_size
     gens = tuple(torus_gens) if torus_gens else (tuple(tuple(r) for r in zeros(rank)),)
     n_sl = len(sl_basis(k))
     zero = tuple(tuple(r) for r in zeros(rank))
     return ResidueRep(rank=rank, torus_gens=gens, sl_size=k,
                       sl_gens=tuple(zero for _ in range(n_sl)))
-
-
-def sl2_fundamental() -> list:
-    """Images of sl_basis(2) = (e12, e21, h1) in the defining representation."""
-    return [m for _, m in sl_basis(2)]
-
-
-def sl2_adjoint() -> list:
-    """Images of sl_basis(2) in the adjoint representation (exact structure
-    constants against the basis itself)."""
-    basis = sl_basis(2)
-    out = []
-    for _, x in basis:
-        cols = []
-        for _, y in basis:
-            cols.append(_expand_in_basis(commutator(x, y), basis))
-        # ad(x) columns indexed by the basis
-        out.append([[cols[j][i] for j in range(len(basis))]
-                    for i in range(len(basis))])
-    return out

@@ -8,9 +8,12 @@ loads the document, prints the report line and the certificate, and picks
 the exit status from the verdict.  Exit status 0 for affirmative verdicts
 (free, flat, decomposed, splittable, factorized, split, extends, castled,
 generated), 1 for the negative verdicts in NEGATIVE_VERDICTS (not-free,
-not-flat, not-splittable, not-extendable, non-extendable; the certificate is
-still printed), 2 for malformed input.  With --json only the certificate is
-printed, as strict JSON; otherwise the short report line precedes it.
+not-flat, not-splittable, non-extendable; the certificate is still
+printed), 2 for malformed input.  extend has no negative verdict: chart
+data that present a flat connection always extend, so data that do not
+glue (bad geometry, a non-flat or incompatible chart) are malformed.  With
+--json only the certificate is printed, as strict JSON; otherwise the short
+report line precedes it.
 --oracle adds independent cross-checks; split-filtrations needs none, since
 it always re-verifies its adapted basis.  castle --chain N exits 2 unless
 0 <= N and 2^N * bits(n) <= CHAIN_BUDGET_BITS = 8192, a bound on the bits of
@@ -41,7 +44,7 @@ EXIT_NEGATIVE = 1
 EXIT_MALFORMED = 2
 
 NEGATIVE_VERDICTS = frozenset(
-    {"not-free", "not-flat", "not-splittable", "not-extendable", "non-extendable"})
+    {"not-free", "not-flat", "not-splittable", "non-extendable"})
 
 CHAIN_BUDGET_BITS = 8192    # keeps every chain dimension under 2,500 digits
 
@@ -151,7 +154,7 @@ def _cmd_extend(args, doc):
     try:
         ext = extend_connection(data)
     except ValueError as exc:
-        return "not-extendable", {"reason": str(exc)}, f"does not extend: {exc}"
+        raise FormatError(str(exc)) from exc
     witness = {"twistExponents": list(ext.twist_exponents),
                "gaugeX": [ser.poly_to_json(e) for row in ext.gauge_x for e in row],
                "gaugeY": [ser.poly_to_json(e) for row in ext.gauge_y for e in row],

@@ -26,7 +26,7 @@ from .birkhoff import birkhoff_factorize
 from .laurent import Transition, lmat_identity, lmat_inverse, lmat_mul
 from .multipoly import MultiPoly
 from .saito import (LogConnection, SaitoSystem, VectorField, euler_check,
-                    flatness_check, residue_at_origin)
+                    flatness_check)
 from . import matrices as qm
 
 
@@ -107,52 +107,15 @@ def _flat_bilaurent(omega_e, omega_d, fields, w: Fraction) -> bool:
     return qm.mat_eq(lhs, rhs)
 
 
-def _rational_eigenvalues(m) -> bool:
-    """Whether every eigenvalue of a rational matrix is rational (exact
-    rational-root deflation of the characteristic polynomial)."""
-    chi = qm.charpoly(m)
-    var = chi.vars[0]
-    while chi.total_degree() > 0:
-        const, lead = chi.coeff(0), chi.leading()[1]
-        root = None
-        if const == 0:
-            root = Fraction(0)
-        else:
-            num0 = const.numerator * lead.denominator
-            den0 = lead.numerator * const.denominator
-            for r in _rational_root_candidates(num0, den0):
-                if chi.evaluate({var: r}) == 0:
-                    root = r
-                    break
-        if root is None:
-            return False
-        chi = chi.exact_div(MultiPoly.var(chi.vars, var) - root)
-    return True
-
-
-def _rational_root_candidates(num0: int, den0: int):
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.add(i)
-                out.add(n // i)
-            i += 1
-        return out
-    for a in sorted(divisors(num0)):
-        for b in sorted(divisors(den0)):
-            yield Fraction(a, b)
-            yield Fraction(-a, b)
-
-
 def extend_connection(data: ConnectionData) -> ExtendedConnection:
     """Glue the chart data into one polynomial logarithmic flat connection.
 
-    Raises ValueError on invalid geometry, chart incompatibility, or
-    non-quasi-unipotent monodromy; the returned connection is verified
-    (polynomiality, flatness, and both chart gauge identities, exactly).
+    Every flat logarithmic connection on the punctured plane extends
+    (Mebkhout's theorem for weighted homogeneous curves), so ValueError
+    means only that the data do not present one: invalid geometry, a pole
+    off the chart's axis, a non-flat chart, or charts incompatible across
+    the transition.  The returned connection is verified (polynomiality,
+    flatness, and both chart gauge identities, exactly).
     """
     p, q, f = data.p, data.q, data.divisor
     if p < 1 or q < 1:
@@ -210,9 +173,6 @@ def extend_connection(data: ConnectionData) -> ExtendedConnection:
     conn = LogConnection(system=system,
                          omegas=tuple(tuple(tuple(r) for r in om) for om in omegas),
                          rank=m)
-    if not _rational_eigenvalues(residue_at_origin(conn, 0)):
-        raise ValueError("monodromy is not quasi-unipotent: the residue of the "
-                         "Euler-field matrix has an irrational eigenvalue")
     if not flatness_check(conn):
         raise AssertionError("glued connection failed the flatness check")
     return ExtendedConnection(

@@ -1,6 +1,5 @@
-"""Tuples of decreasing Z-filtrations of a rational vector space: pair
-splitting, the simultaneous-splitting decision, and toric extendability
-verdicts.
+"""Tuples of decreasing Z-filtrations of a rational vector space: the
+simultaneous-splitting decision and toric extendability verdicts.
 
 A filtration stores its strictly decreasing steps as canonical bases (see
 the matrices module); the full space sits below the smallest listed index,
@@ -58,12 +57,12 @@ class Filtration:
         """Basis of F^j: the full space below the smallest index, else the
         step at the largest listed index <= j, so the last listed basis
         for every j above the largest index."""
-        current = qm.identity(self.dim)
+        current = None
         for idx, basis in self.steps:
             if idx > j:
-                return current
+                break
             current = basis
-        return current
+        return qm.identity(self.dim) if current is None else current
 
     def depth(self, v) -> int:
         """Largest listed index j with v in F^j, or one below the smallest
@@ -120,17 +119,6 @@ class NotSplittable:
 
     def __bool__(self):
         return False
-
-
-def split_pair(f1: Filtration, f2: Filtration) -> AdaptedBasis:
-    """Simultaneously split a pair of filtrations with simultaneous_split;
-    a pair always splits, so a NotSplittable result is an internal error."""
-    if f1.dim != f2.dim:
-        raise ValueError("ambient dimension mismatch")
-    result = simultaneous_split([f1, f2])
-    if isinstance(result, NotSplittable):
-        raise AssertionError("a pair of filtrations failed to split")
-    return result
 
 
 def _avoiding_vector(space: QMatrix, forbidden: list, tries: int):

@@ -1,6 +1,6 @@
 """Exact multiplicative Jordan-Chevalley decomposition, quasi-unipotent
-weight extraction, central logarithms in spectral form, Deligne residues,
-and the well-behaved-monodromy check.
+weight extraction, central logarithms in spectral form, and the
+well-behaved-monodromy check.
 
 Everything is exact, and one characteristic polynomial chi of M serves the
 decomposition: chi(0) != 0 tests invertibility, the semisimple part S is
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
 
-from . import matrices as qm
 from .cyclotomic import (CycloNum, cmat_from_rational, cmat_identity,
                          cyclotomic_split_upoly)
-from .matrices import (QMatrix, eval_poly_at_matrix, identity, is_zero_matrix,
+from .matrices import (QMatrix, eval_poly_at_matrix, is_zero_matrix,
                        mat_add, mat_eq, mat_inv, mat_mul, mat_scale, mat_sub,
                        charpoly)
 from .multipoly import squarefree_part
@@ -138,7 +137,9 @@ class SpectralLog:
 
 
 def central_log(s: QMatrix) -> SpectralLog:
-    """Spectral logarithm of a quasi-unipotent semisimple matrix."""
+    """Spectral logarithm of a quasi-unipotent semisimple matrix.
+
+    No subcommand emits it; acceptance criterion 4 checks it."""
     data = quasi_unipotent_weights(s)
     if isinstance(data, NotQuasiUnipotent):
         raise ValueError(f"not quasi-unipotent: factor {data.factor!r}")
@@ -204,61 +205,3 @@ def well_behaved_check(data, group: str) -> bool:
     for e in data.entries:
         g = int_gcd(g, e.multiplicity)
     return total.numerator % g == 0
-
-
-@dataclass(frozen=True)
-class ResiduePair:
-    """Semisimple residue weights plus the nilpotent logarithm of the
-    unipotent part (rational entries; they commute)."""
-    weights: WeightData
-    nilpotent: QMatrix
-
-
-def nilpotent_log(u: QMatrix) -> QMatrix:
-    """log U = sum_{k>=1} (-1)^{k+1} (U - I)^k / k, a finite sum."""
-    n = len(u)
-    nil = mat_sub(u, identity(n))
-    out = qm.zeros(n)
-    power = identity(n)
-    for k in range(1, n + 1):
-        power = mat_mul(power, nil)
-        if is_zero_matrix(power):
-            break
-        out = mat_add(out, mat_scale(power, Fraction((-1) ** (k + 1), k)))
-    return out
-
-
-def matrix_exp_nilpotent(n_mat: QMatrix) -> QMatrix:
-    """exp of a nilpotent matrix (finite sum)."""
-    n = len(n_mat)
-    out = identity(n)
-    power = identity(n)
-    for k in range(1, n + 1):
-        power = mat_scale(mat_mul(power, n_mat), Fraction(1, k))
-        if is_zero_matrix(power):
-            break
-        out = mat_add(out, power)
-    return out
-
-
-def deligne_residue(m: QMatrix, branch: str = "[0,1)"):
-    """Residue data for quasi-unipotent monodromy: weights on the chosen
-    branch of the logarithm plus the nilpotent log of the unipotent part.
-
-    branch "[0,1)" is the default; "(-1,0]" shifts every nonzero weight
-    down by one.
-    """
-    jc = jordan_chevalley(m)
-    data = jc.weights
-    if isinstance(data, NotQuasiUnipotent):
-        return data
-    if branch == "(-1,0]":
-        shifted = tuple(
-            WeightEntry(e.order, e.exponent, e.multiplicity,
-                        e.weight - 1 if e.weight > 0 else e.weight)
-            for e in data.entries)
-        data = WeightData(entries=shifted, field_order=data.field_order)
-    elif branch != "[0,1)":
-        raise ValueError("unknown branch convention")
-    return ResiduePair(weights=data, nilpotent=nilpotent_log(jc.U))
-

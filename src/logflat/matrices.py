@@ -224,11 +224,6 @@ def mat_inv(a: QMatrix) -> QMatrix:
     return [_divided(row[n:], d) for row in m]
 
 
-def det_rational(a: QMatrix) -> Fraction:
-    """det a = (-1)^n chi_a(0), through the one Bareiss determinant."""
-    return (-1) ** len(a) * charpoly(a).coeff(0)
-
-
 def intersect_row_spaces(*spaces) -> QMatrix:
     """Canonical basis of the intersection of the row spaces: the common
     kernel of their equations (each space's nullspace)."""
@@ -284,7 +279,7 @@ def coefficient_rows(entries, windows) -> tuple[dict, int]:
     return rows, ncols
 
 
-# -- characteristic and minimal polynomials ----------------------------
+# -- characteristic polynomials ------------------------------------------
 
 def charpoly(a: QMatrix, var: str = "t") -> MultiPoly:
     """Characteristic polynomial det(t*I - a) as a univariate MultiPoly."""
@@ -294,29 +289,6 @@ def charpoly(a: QMatrix, var: str = "t") -> MultiPoly:
     entries = [[t - a[i][j] if i == j else MultiPoly.constant(vs, -a[i][j])
                 for j in range(n)] for i in range(n)]
     return det_bareiss(entries)
-
-
-def minpoly(a: QMatrix, var: str = "t") -> MultiPoly:
-    """Monic minimal polynomial, found by the first linear dependence among
-    the powers of a.  The library reads semisimplicity off the
-    characteristic polynomial instead; this solve-based construction is
-    kept as an independent oracle for the tests."""
-    n = len(a)
-    powers = [identity(n)]
-    for _ in range(n):
-        powers.append(mat_mul(powers[-1], a))
-    flat = [[p[i][j] for i in range(n) for j in range(n)] for p in powers]
-    for k in range(1, n + 1):
-        system = transpose(flat[:k])
-        target = flat[k]
-        sol = solve(system, target)
-        if sol is not None:
-            terms = {(k,): Fraction(1)}
-            for i, c in enumerate(sol):
-                if c != 0:
-                    terms[(i,)] = -c
-            return MultiPoly((var,), terms)
-    raise AssertionError("Cayley-Hamilton violated")
 
 
 def eval_poly_at_matrix(p: MultiPoly, a: QMatrix) -> QMatrix:

@@ -243,22 +243,6 @@ class MultiPoly:
             total += term
         return total
 
-    def substitute(self, values: dict) -> MultiPoly:
-        """Substitute rational values for a subset of the variables."""
-        keep = tuple(v for v in self.vars if v not in values)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            coef = c
-            ne = []
-            for v, k in zip(self.vars, e):
-                if v in values:
-                    coef *= _as_fraction(values[v]) ** k
-                else:
-                    ne.append(k)
-            ne = tuple(ne)
-            terms[ne] = terms.get(ne, Fraction(0)) + coef
-        return MultiPoly(keep, terms, self.laurent)
-
     # -- division -----------------------------------------------------
 
     def exact_div(self, d: MultiPoly) -> MultiPoly:

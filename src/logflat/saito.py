@@ -242,10 +242,3 @@ def flatness_check(conn: LogConnection) -> FlatnessResult:
         if not qm.is_zero_matrix(qm.mat_sub(lhs, rhs)):
             return FlatnessResult(False, (i, j))
     return FlatnessResult(True)
-
-
-def residue_at_origin(conn: LogConnection, field_index: int) -> list:
-    """Constant term of Omega_i: its evaluation at the origin."""
-    om = conn.omegas[field_index]
-    origin = {v: 0 for v in conn.system.vars}
-    return [[p.evaluate(origin) for p in row] for row in om]

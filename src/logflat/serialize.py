@@ -152,16 +152,6 @@ def _require(data, *keys):
             raise FormatError(f"missing field {k!r}")
 
 
-def saito_system_to_json(sys: SaitoSystem) -> dict:
-    return {
-        "schema": SCHEMA,
-        "vars": list(sys.vars),
-        "divisor": poly_to_json(sys.divisor),
-        "fields": [[poly_to_json(c) for c in fld.coefficients]
-                   for fld in sys.fields],
-    }
-
-
 def saito_system_from_json(data) -> SaitoSystem:
     _require(data, "vars", "divisor", "fields")
     variables = tuple(str(v) for v in array_from_json(data["vars"], "vars"))

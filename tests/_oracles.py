@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from logflat import matrices as qm
 from logflat.filtrations import Filtration
+from logflat.multipoly import MultiPoly
 
 
 def fraction_rref(a):
@@ -127,6 +128,43 @@ def is_polynomial_in(s, m):
                            for p in powers])
     target = [s[i][j] for i in range(n) for j in range(n)]
     return qm.solve(system, target) is not None
+
+
+def minpoly(a, var="t"):
+    """Monic minimal polynomial, found by the first linear dependence among
+    the powers of a.  The library reads semisimplicity off the
+    characteristic polynomial instead; this solve-based construction is
+    the independent check."""
+    n = len(a)
+    powers = [qm.identity(n)]
+    for _ in range(n):
+        powers.append(qm.mat_mul(powers[-1], a))
+    flat = [[p[i][j] for i in range(n) for j in range(n)] for p in powers]
+    for k in range(1, n + 1):
+        sol = qm.solve(qm.transpose(flat[:k]), flat[k])
+        if sol is not None:
+            terms = {(k,): Fraction(1)}
+            for i, c in enumerate(sol):
+                if c != 0:
+                    terms[(i,)] = -c
+            return MultiPoly((var,), terms)
+    raise AssertionError("Cayley-Hamilton violated")
+
+
+# images of sl_basis(2) = (e12, e21, h1) in the defining and the adjoint
+# representation (the adjoint on that basis, in that order)
+SL2_FUNDAMENTAL = [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]]
+SL2_ADJOINT = [[[0, 0, -2], [0, 0, 0], [0, 1, 0]],
+               [[0, 0, 0], [0, 0, 2], [-1, 0, 0]],
+               [[2, 0, 0], [0, -2, 0], [0, 0, 0]]]
+
+
+def sl2_fundamental():
+    return [qm.qmat(m) for m in SL2_FUNDAMENTAL]
+
+
+def sl2_adjoint():
+    return [qm.qmat(m) for m in SL2_ADJOINT]
 
 
 def exhaustive_adapted_basis(filtrations, candidates):

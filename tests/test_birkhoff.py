@@ -7,8 +7,7 @@ import pytest
 
 from logflat import matrices as qm
 from logflat.birkhoff import (EquivariantTransition, birkhoff_factorize,
-                              football_split, splitting_type,
-                              splitting_type_rank_oracle)
+                              football_split, splitting_type_rank_oracle)
 from logflat.laurent import Transition, lmat_det, lmat_identity, lmat_inverse, lmat_mul
 from logflat.multipoly import MultiPoly
 
@@ -115,25 +114,26 @@ def test_factorize_diagonal():
     t = diag_transition(3, 0, -2)
     fac = birkhoff_factorize(t)
     assert list(fac.diag) == [3, 0, -2]
-    assert splitting_type(t) == (2, 0, -3)
+    assert birkhoff_factorize(t).splitting_type() == (2, 0, -3)
 
 
 def test_factorize_permutation():
     t = Transition([[zero(), mono(0)], [mono(0), zero()]])
     fac = birkhoff_factorize(t)
     assert list(fac.diag) == [0, 0]
-    assert splitting_type(t) == (0, 0)
+    assert birkhoff_factorize(t).splitting_type() == (0, 0)
 
 
 def test_splitting_type_of_extension_transition():
     # nontrivial extension of O(2) by two copies of O: type {1, 1}
     t = Transition([[mono(0), mono(-1)], [zero(), mono(-2)]])
-    assert splitting_type(t) == (1, 1)
+    assert birkhoff_factorize(t).splitting_type() == (1, 1)
     assert splitting_type_rank_oracle(t) == (1, 1)
     # the split form of the same determinant: type {2, 0}
     ts = Transition([[mono(0), zero()], [zero(), mono(-2)]])
-    assert splitting_type(ts) == (2, 0)
-    assert splitting_type(t) != splitting_type(ts)
+    assert birkhoff_factorize(ts).splitting_type() == (2, 0)
+    assert birkhoff_factorize(t).splitting_type() != \
+        birkhoff_factorize(ts).splitting_type()
 
 
 def test_planted_factorizations_with_rank_oracle():
@@ -143,7 +143,7 @@ def test_planted_factorizations_with_rank_oracle():
         t, exps = planted_instance(rng, n, 3)
         fac = birkhoff_factorize(t)
         assert list(fac.diag) == exps
-        st = splitting_type(t)
+        st = birkhoff_factorize(t).splitting_type()
         assert st == splitting_type_rank_oracle(t)
         assert list(st) == sorted((-e for e in exps), reverse=True)
 
@@ -155,7 +155,8 @@ def test_splitting_type_gauge_invariance():
         a = rand_unimodular(rng, 2, -1)
         b = rand_unimodular(rng, 2, +1)
         gauged = Transition(lmat_mul(lmat_mul(a, t.matrix), b))
-        assert splitting_type(gauged) == splitting_type(t)
+        assert birkhoff_factorize(gauged).splitting_type() == \
+            birkhoff_factorize(t).splitting_type()
 
 
 def test_sum_of_diag_exponents_is_det_exponent():
@@ -216,5 +217,5 @@ def test_football_specializes_to_plain_splitting():
         classes = football_split(et)
         plain = [[tau[i][c].invert_variable() * mono(-a[i])
                   for c in range(n)] for i in range(n)]
-        st = splitting_type(Transition(plain))
+        st = birkhoff_factorize(Transition(plain)).splitting_type()
         assert list(st) == classes

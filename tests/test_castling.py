@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import sl2_adjoint, sl2_fundamental
 from logflat import castling, matrices as qm
 from logflat.castling import (NonExtendable, PrehomDescriptor, ResidueRep,
                               castling_chain, castling_transform,
                               check_sl_relations, gen_nonextendable,
                               minor_product_divisor, minor_product_variables,
                               morita_rescale, pullback_residue,
-                              residual_sl_trivial, sl2_adjoint,
-                              sl2_fundamental, sl_basis)
+                              residual_sl_trivial, sl_basis)
 from logflat.multipoly import MultiPoly
 
 

@@ -1,7 +1,7 @@
 """Command-line interface: exit codes, certificate schema, JSON round trips,
 malformed-input handling."""
 import json
-from fractions import Fraction
+import signal
 
 import pytest
 
@@ -25,6 +25,13 @@ def last_json(stdout):
     return json.loads(stdout.strip().splitlines()[-1])
 
 
+def saito_system_to_json(system):
+    return {"schema": 1, "vars": list(system.vars),
+            "divisor": ser.poly_to_json(system.divisor),
+            "fields": [[ser.poly_to_json(c) for c in fld.coefficients]
+                       for fld in system.fields]}
+
+
 def xyz_system_doc():
     vs = ("x", "y", "z")
     f = MultiPoly.constant(vs, 1)
@@ -34,7 +41,7 @@ def xyz_system_doc():
         coeffs = [MultiPoly.zero(vs)] * 3
         coeffs[i] = MultiPoly.var(vs, v)
         fields.append(VectorField(tuple(coeffs)))
-    return ser.saito_system_to_json(SaitoSystem(tuple(fields), f))
+    return saito_system_to_json(SaitoSystem(tuple(fields), f))
 
 
 def test_saito_check_free_exit_zero(capsys, tmp_path):
@@ -177,6 +184,10 @@ MALFORMED_FIELDS = [
     ("gen-nonextendable", NONEXTENDABLE, ["psi"], 7),
     ("extend", EXTEND, ["omegaX"], 3),
     ("extend", EXTEND, ["omegaY"], 3),
+    # chart data that present no flat connection on x y = 0
+    ("extend", EXTEND, ["p"], 0),
+    ("extend", EXTEND, ["divisor"], [{"c": "1", "e": [2, 0]}, {"c": "1", "e": [0, 1]}]),
+    ("extend", EXTEND, ["omegaX", 0, 0, 0], [{"c": "1", "e": [1, 0]}]),
 ]
 BAD_FIELDS = NON_INTEGER_FIELDS + MALFORMED_FIELDS
 
@@ -288,12 +299,50 @@ def test_extend_roundtrip(capsys):
     cert = json.loads(out)
     assert cert["verdict"] == "extends"
     assert "twistExponents" in cert["witness"]
-    # incompatible chart data is a negative verdict, not a crash
+    # incompatible charts present no connection: malformed input, not a verdict
     doc_bad = json.loads(json.dumps(doc))
     doc_bad["omegaY"][0][0][0] = [{"c": "99", "e": [0, 0]}]
-    code, out, _ = run(capsys, "extend", json.dumps(doc_bad), "--json")
-    assert code == 1
-    assert json.loads(out)["verdict"] == "not-extendable"
+    code, out, err = run(capsys, "extend", json.dumps(doc_bad), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: charts are incompatible")
+
+
+def constant_extend_doc(omega_e):
+    """f = x y with weights (1, 1), the constant Omega_E on both charts,
+    Omega_delta = 0 and the identity transition: already a global flat
+    connection, since w = 0 and delta kills constants."""
+    m = len(omega_e)
+
+    def const(c):
+        return [{"c": str(c), "e": [0, 0]}] if c else []
+    chart = [[[const(c) for c in row] for row in omega_e],
+             [[[] for _ in range(m)] for _ in range(m)]]
+    return {"schema": 1, "p": 1, "q": 1, "divisor": [{"c": "1", "e": [1, 1]}],
+            "omegaX": chart, "omegaY": chart,
+            "transition": [[[{"c": "1", "e": 0}] if i == j else [] for j in range(m)]
+                           for i in range(m)]}
+
+
+@pytest.mark.parametrize("omega_e", [[[0, 1], [2, 0]], [[10 ** 14 + 31]], [[10 ** 18 + 9]]],
+                         ids=["eigenvalues-sqrt2", "entry-1e14", "entry-1e18"])
+def test_global_connection_extends(capsys, omega_e):
+    """Whatever the residue's eigenvalues or the size of its entries, data
+    that already are a global connection extend, within a second."""
+    def expire(signum, frame):
+        raise TimeoutError("extend ran over its one-second budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, out, _ = run(capsys, "extend", json.dumps(constant_extend_doc(omega_e)),
+                           "--json")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["verdict"] == "extends"
+    assert cert["witness"]["twistExponents"] == [0] * len(omega_e)
 
 
 def test_castle_chain_and_transform(capsys):

@@ -1,4 +1,4 @@
-"""Decreasing filtrations: pair splitting, simultaneous splitting with
+"""Decreasing filtrations: simultaneous splitting (pairs always split) with
 certificates, and the extendability criterion."""
 import itertools
 import random
@@ -10,8 +10,7 @@ from _oracles import exhaustive_adapted_basis, grid_candidates, random_filtratio
 from logflat import filtrations as filt
 from logflat import matrices as qm
 from logflat.filtrations import (AdaptedBasis, Filtration, NotSplittable,
-                                 simultaneous_split, split_pair,
-                                 toric_extendability)
+                                 simultaneous_split, toric_extendability)
 
 
 def line(*v):
@@ -83,7 +82,7 @@ def test_split_pair_random_with_verification():
         dim = rng.randrange(2, 6)
         f1 = random_filtration(rng, dim)
         f2 = random_filtration(rng, dim)
-        basis = split_pair(f1, f2)
+        basis = simultaneous_split([f1, f2])
         assert isinstance(basis, AdaptedBasis)
         assert basis.verify([f1, f2])
 

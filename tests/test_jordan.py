@@ -1,15 +1,14 @@
 """Jordan-Chevalley decomposition, quasi-unipotent weights, the spectral
-central logarithm, and residue data."""
+central logarithm, and the well-behaved check."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from _oracles import is_polynomial_in, is_unipotent
+from _oracles import is_polynomial_in, is_unipotent, minpoly
 from logflat import matrices as qm
 from logflat.cyclotomic import CycloNum, cmat_from_rational, cmat_identity
-from logflat.jordan import (NotQuasiUnipotent, central_log, deligne_residue,
-                            jordan_chevalley, matrix_exp_nilpotent, nilpotent_log,
+from logflat.jordan import (NotQuasiUnipotent, central_log, jordan_chevalley,
                             quasi_unipotent_weights, well_behaved_check)
 from logflat.multipoly import MultiPoly, squarefree_part
 
@@ -17,7 +16,7 @@ from logflat.multipoly import MultiPoly, squarefree_part
 def rand_invertible(rng, n):
     while True:
         m = [[Fraction(rng.randrange(-4, 5)) for _ in range(n)] for _ in range(n)]
-        if qm.det_rational(m) != 0:
+        if qm.det_cofactor(m) != 0:
             return m
 
 
@@ -29,7 +28,7 @@ def test_jordan_chevalley_identities_random():
         pair = jordan_chevalley(m)
         assert qm.mat_eq(qm.mat_mul(pair.S, pair.U), m)
         assert qm.mat_eq(qm.mat_mul(pair.U, pair.S), m)
-        assert squarefree_part(qm.minpoly(pair.S))[1]
+        assert squarefree_part(minpoly(pair.S))[1]
         assert is_unipotent(pair.U)
         assert is_polynomial_in(pair.S, m)
 
@@ -166,29 +165,7 @@ def test_sl_check_requires_det_one():
     for m in (qm.qmat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]),
               qm.qmat([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])):
         data = quasi_unipotent_weights(m)
-        assert qm.det_rational(m) == -1
+        assert qm.det_cofactor(m) == -1
         assert well_behaved_check(data, "GL") is True
         with pytest.raises(ValueError, match="det S = 1"):
             well_behaved_check(data, "SL")
-
-
-def test_nilpotent_log_exp_roundtrip():
-    rng = random.Random(41)
-    for _ in range(10):
-        n = rng.randrange(2, 5)
-        u = qm.identity(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                u[i][j] = Fraction(rng.randrange(-3, 4))
-        n_mat = nilpotent_log(u)
-        assert qm.mat_eq(matrix_exp_nilpotent(n_mat), u)
-
-
-def test_deligne_residue_structure():
-    m = qm.qmat([[-1, 1], [0, -1]])
-    res = deligne_residue(m)
-    assert [e.weight for e in res.weights.entries] == [Fraction(1, 2)]
-    assert qm.mat_eq(qm.commutator(res.nilpotent, res.nilpotent), qm.zeros(2))
-    # nilpotent part recovers the unipotent factor
-    pair = jordan_chevalley(m)
-    assert qm.mat_eq(matrix_exp_nilpotent(res.nilpotent), pair.U)

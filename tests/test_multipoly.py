@@ -120,19 +120,6 @@ def test_squarefree_part_detects_squares():
     assert reduced2
 
 
-def test_substitute_matches_evaluate():
-    rng = random.Random(6)
-    for _ in range(10):
-        a = rand_poly(rng)
-        pt = rand_point(rng)
-        partial = a.substitute({"x": pt["x"], "y": pt["y"]})
-        assert partial.vars == ("z",)
-        assert partial.evaluate({"z": pt["z"]}) == a.evaluate(pt)
-        full = a.substitute(pt)
-        assert full.is_constant()
-        assert full.constant_value() == a.evaluate(pt)
-
-
 # -- Laurent values: the same class with the Laurent flag ------------------------
 
 XY = ("x", "y")

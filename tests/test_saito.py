@@ -9,7 +9,7 @@ from logflat import matrices as qm
 from logflat.multipoly import MultiPoly
 from logflat.saito import (LogConnection, NotASaitoSystemError, SaitoSystem,
                            VectorField, euler_check, euler_field,
-                           flatness_check, lie_bracket, residue_at_origin,
+                           flatness_check, lie_bracket,
                            saito_check, structure_constants)
 
 XY = ("x", "y")
@@ -176,17 +176,6 @@ def test_structure_constants_reject_non_closing_fields():
     # [y d/dx, x^2 d/dy] = -x^2 d/dx + 2xy d/dy, outside the polynomial span
     with pytest.raises(NotASaitoSystemError):
         structure_constants((field2(y, z), field2(z, x * x)))
-
-
-def test_residue_at_origin():
-    x, y = v2("x"), v2("y")
-    one = MultiPoly.constant(XY, 1)
-    conn = _cross_connection([[1, 0], [0, 2]], [[3, 0], [0, 4]])
-    omegas = ([[one + x, y], [MultiPoly.zero(XY), 2 * one]],
-              [[one, x * y], [MultiPoly.zero(XY), one]])
-    conn = LogConnection(conn.system, omegas, 2)
-    assert residue_at_origin(conn, 0) == [[1, 0], [0, 2]]
-    assert residue_at_origin(conn, 1) == [[1, 0], [0, 1]]
 
 
 def test_euler_field_applies_grading():
