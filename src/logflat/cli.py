@@ -71,6 +71,8 @@ def _load(source: str):
 
 def _cmd_saito_check(args, doc):
     system = ser.saito_system_from_json(doc)
+    if system.divisor.is_zero():
+        raise FormatError("divisor must be a nonzero polynomial")
     verdict = saito_check(system)
     if args.oracle and verdict.free:
         m = system.saito_matrix()

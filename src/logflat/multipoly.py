@@ -11,9 +11,18 @@ equality and hashing ignore it.  A univariate polynomial is a one-variable
 value; divmod gives its division with remainder, which the univariate gcd
 and the cyclotomic quotient rings use.  All operations are pure and
 deterministic.
+
+``is_reduced`` decides whether a polynomial has a repeated factor with a
+one-sided certificate (von zur Gathen-Gerhard, Modern Computer Algebra,
+ch. 14): f restricted to one fixed line a + t*b, reduced mod the prime
+2^31 - 1, that keeps degree deg f and is coprime to its derivative in
+F_p[t] proves f reduced.  Any other outcome is inconclusive, and the exact
+``squarefree_part`` (a primitive PRS over Q) decides instead, so a "not
+reduced" answer always comes from the exact computation.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
 from operator import add, neg, sub
@@ -449,6 +458,71 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def _lift(p: MultiPoly, variables) -> MultiPoly:
     """Lift a polynomial in trailing variables to the full variable list."""
     return MultiPoly(variables, {(0,) + e: c for e, c in p.terms.items()})
+
+
+def _reduced_on_line(f: MultiPoly) -> bool:
+    """True when one fixed line certifies that f is reduced; False means
+    the line cannot decide, not that f has a square factor.
+
+    g(t) = f(a + t*b) is taken mod p = 2^31 - 1 on fixed integer a, b.  If
+    g mod p keeps degree deg f and gcd(g, g') = 1 in F_p[t], then disc(g)
+    is nonzero, so g is squarefree over Q; a square h^2 dividing f would
+    restrict to a square of positive degree on a line that keeps the
+    degree, so f is reduced.
+    """
+    p = 2**31 - 1
+    d = f.total_degree()
+    if not 0 <= d < p:
+        return False
+
+    def mul(u, v):
+        out = [0] * (len(u) + len(v) - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                out[i + j] += x * y
+        return [c % p for c in out]
+
+    def rem(u, v):                 # u mod v for trimmed lists, low degree first
+        u, inv = list(u), pow(v[-1], -1, p)
+        while len(u) >= len(v):
+            off = len(u) - len(v)
+            q = u.pop() * inv % p
+            for j, y in enumerate(v[:-1]):
+                u[off + j] = (u[off + j] - q * y) % p
+        while u and not u[-1]:
+            u.pop()
+        return u
+
+    # powers[i][k] = (a_i + t*b_i)^k mod p; the line comes from a fixed seed
+    rng, powers = random.Random(2023), []
+    for i in range(len(f.vars)):
+        line = [rng.randrange(1, p), rng.randrange(1, p)]
+        powers.append([[1]])
+        for _ in range(f.max_exp(i)):
+            powers[i].append(mul(powers[i][-1], line))
+    g = [0] * (d + 1)
+    for e, c in f.terms.items():
+        if c.denominator % p == 0:
+            return False
+        term = [c.numerator * pow(c.denominator, -1, p) % p]
+        for i, k in enumerate(e):
+            if k:
+                term = mul(term, powers[i][k])
+        for j, x in enumerate(term):
+            g[j] += x
+    g = [x % p for x in g]
+    if not g[d]:
+        return False
+    u, v = g, [k * g[k] % p for k in range(1, d + 1)]
+    while v:
+        u, v = v, rem(u, v)
+    return len(u) == 1
+
+
+def is_reduced(f: MultiPoly) -> bool:
+    """Whether the polynomial f has no repeated factor: certified on one line
+    mod p when that decides, else the exact ``squarefree_part(f)[1]``."""
+    return _reduced_on_line(f) or squarefree_part(f)[1]
 
 
 def squarefree_part(f: MultiPoly) -> tuple[MultiPoly, bool]:

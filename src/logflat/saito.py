@@ -3,8 +3,11 @@ homogeneity, and flatness of logarithmic connection matrices.
 
 A candidate basis of logarithmic fields is input data; the criterion forms
 the coefficient matrix, takes its exact determinant, and compares with the
-divisor equation.  Negative verdicts are returned as values with a
-witness, never raised.
+divisor equation.  The equation must be reduced: ``multipoly.is_reduced``
+certifies that on one line mod a prime and falls back to the exact
+squarefree part only when the line cannot decide, so "not reduced" is
+always exact.  Negative verdicts are returned as values with a witness,
+never raised.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .multipoly import MultiPoly, normalize, squarefree_part
+from .multipoly import MultiPoly, is_reduced, normalize
 from . import matrices as qm
 from .matrices import det_bareiss
 
@@ -118,8 +121,7 @@ def saito_check(sys: SaitoSystem) -> SaitoVerdict:
     f = sys.divisor
     if d.is_zero():
         return SaitoVerdict(False, None, False, "saito determinant vanishes")
-    _, reduced = squarefree_part(f)
-    if not reduced:
+    if not is_reduced(f):
         return SaitoVerdict(False, None, False, "divisor equation is not reduced")
     # d = c*f  <=>  same normalization and proportional
     if normalize(d) != normalize(f):

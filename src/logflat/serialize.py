@@ -155,6 +155,8 @@ def _require(data, *keys):
 def saito_system_from_json(data) -> SaitoSystem:
     _require(data, "vars", "divisor", "fields")
     variables = tuple(str(v) for v in array_from_json(data["vars"], "vars"))
+    if not variables or len(set(variables)) != len(variables):
+        raise FormatError("vars must be a nonempty list of distinct names")
     divisor = poly_from_json(variables, data["divisor"])
     fields = []
     for coeffs in array_from_json(data["fields"], "fields"):

@@ -166,6 +166,11 @@ MALFORMED_FIELDS = [
     ("saito-check", SAITO, ["vars"], "xy"),
     ("saito-check", SAITO, ["fields"], 3),
     ("saito-check", SAITO, ["fields", 0], 4),
+    # repeated or missing variable names, and a zero divisor
+    ("saito-check", SAITO, ["vars"], ["x", "x"]),
+    ("saito-check", SAITO, ["vars"], []),
+    ("saito-check", SAITO, ["divisor"], []),
+    ("flat-check", FLAT, ["vars"], ["x", "x"]),
     ("flat-check", FLAT, ["omegas"], 3),
     ("split-filtrations", SPLIT, ["filtrations"], 5),
     ("split-filtrations", SPLIT, ["filtrations"], [5]),
@@ -201,6 +206,15 @@ def test_non_integer_fields_exit_two(capsys, cmd, doc, path, value):
     code, out, err = run(capsys, cmd, json.dumps(_with(doc, path, value)), "--json")
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cmd", ["saito-check", "flat-check"])
+def test_document_without_variables_exit_two(capsys, cmd):
+    doc = {"schema": 1, "vars": [], "divisor": [{"c": "1", "e": []}], "fields": [],
+           "omegas": []}
+    code, out, err = run(capsys, cmd, json.dumps(doc), "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: vars must be a nonempty list of distinct names\n"
 
 
 def test_jc_emits_decomposition_with_weights(capsys):

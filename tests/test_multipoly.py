@@ -1,11 +1,13 @@
 """Exact multivariate polynomial arithmetic: ring axioms at random points,
-exact division, gcd, normalization, squarefree detection."""
+exact division, gcd, normalization, squarefree detection, and the line
+certificate of reducedness against the exact squarefree part."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from logflat.multipoly import MultiPoly, gcd, normalize, squarefree_part
+from logflat import multipoly
+from logflat.multipoly import MultiPoly, gcd, is_reduced, normalize, squarefree_part
 
 VS = ("x", "y", "z")
 
@@ -118,6 +120,81 @@ def test_squarefree_part_detects_squares():
     assert normalize(sf) == normalize((x + y) * (x - y))
     sf2, reduced2 = squarefree_part((x + y) * (x - y))
     assert reduced2
+
+
+# -- reducedness: the line certificate and its exact fallback -------------------
+
+P = 2**31 - 1          # the prime of the line certificate
+VS4 = ("x", "y", "z", "w")
+
+
+def counting_squarefree_part(monkeypatch):
+    """Record every exact squarefree-part computation is_reduced falls back to."""
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return squarefree_part(f)
+
+    monkeypatch.setattr(multipoly, "squarefree_part", counting)
+    return calls
+
+
+def rand_rational_poly(rng, dim, nterms, deg):
+    """Coefficients with denominators up to 10^6, exponents up to deg."""
+    return MultiPoly(VS4[:dim], {
+        tuple(rng.randrange(deg + 1) for _ in range(dim)):
+        Fraction(rng.randint(-9, 9), rng.randint(1, 10**6))
+        for _ in range(nterms)})
+
+
+def test_is_reduced_agrees_with_squarefree_part(monkeypatch):
+    calls = counting_squarefree_part(monkeypatch)
+    rng = random.Random(12)
+    planted = certified = 0
+    for _ in range(80):
+        dim = rng.randint(1, 4)
+        h = rand_rational_poly(rng, dim, rng.randint(1, 3), 2 if dim < 3 else 1)
+        k = rand_rational_poly(rng, dim, rng.randint(1, 3), 1)
+        if h.total_degree() < 1 or k.is_zero():
+            continue
+        for f in (h * k, h * h * k):
+            del calls[:]
+            verdict = is_reduced(f)
+            assert verdict == squarefree_part(f)[1]
+            certified += not calls
+        # a planted square is never certified: the exact part decides
+        assert not verdict and len(calls) == 1
+        planted += 1
+    assert planted >= 40 and certified >= 20
+
+
+def test_is_reduced_falls_back_on_a_denominator_divisible_by_p(monkeypatch):
+    calls = counting_squarefree_part(monkeypatch)
+    x, y = (MultiPoly.var(VS4[:2], v) for v in "xy")
+    assert is_reduced(x * Fraction(1, 3 * P) + y ** 2)
+    assert len(calls) == 1
+    assert not is_reduced((x * Fraction(1, P) + y) ** 2 * x)
+    assert len(calls) == 2
+
+
+def test_is_reduced_falls_back_when_the_top_form_vanishes_on_the_direction(monkeypatch):
+    calls = counting_squarefree_part(monkeypatch)
+    # the line's direction b, drawn as in multipoly._reduced_on_line
+    rng = random.Random(2023)
+    (_, bx), (_, by) = [(rng.randrange(1, P), rng.randrange(1, P)) for _ in "xy"]
+    x, y = (MultiPoly.var(VS4[:2], v) for v in "xy")
+    # the top-degree form (by*x - bx*y)*x vanishes at b, so g(t) loses its degree
+    assert is_reduced((x * by - y * bx) * (x + 1))
+    assert len(calls) == 1
+    assert is_reduced((x + 1) * (y - 2))
+    assert len(calls) == 1
+
+
+def test_is_reduced_of_constants_and_zero():
+    assert is_reduced(MultiPoly.constant(VS4[:2], Fraction(-3, 7)))
+    with pytest.raises(ValueError):
+        is_reduced(MultiPoly.zero(VS4[:2]))
 
 
 # -- Laurent values: the same class with the Laurent flag ------------------------

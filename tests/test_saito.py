@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from logflat import matrices as qm
+from logflat import multipoly, saito
 from logflat.multipoly import MultiPoly
 from logflat.saito import (LogConnection, NotASaitoSystemError, SaitoSystem,
                            VectorField, euler_check, euler_field,
@@ -98,6 +99,43 @@ def test_saito_check_rejects_nonreduced():
               VectorField((MultiPoly.zero(vs), x)))
     verdict = saito_check(SaitoSystem(fields, x * x))
     assert not verdict.free and not verdict.reduced
+
+
+def _reflection_arrangement(n, kind):
+    """A_{n-1} (the braid arrangement) or B_n with its basic invariant
+    derivations sum_i x_i^k d_i (Saito 1980; both are free)."""
+    vs = tuple(f"x{i}" for i in range(n))
+    x = [MultiPoly.var(vs, v) for v in vs]
+    f = MultiPoly.constant(vs, 1)
+    if kind == "A":
+        powers = range(n)
+        factors = [x[i] - x[j] for i in range(n) for j in range(i + 1, n)]
+    else:
+        powers = range(1, 2 * n, 2)
+        factors = x + [x[i] ** 2 - x[j] ** 2 for i in range(n) for j in range(i + 1, n)]
+    for h in factors:
+        f = f * h
+    fields = tuple(VectorField(tuple(xi ** k for xi in x)) for k in powers)
+    return SaitoSystem(fields, f)
+
+
+def test_saito_check_certifies_reflection_arrangements_without_a_gcd(monkeypatch):
+    counts = {"squarefree_part": 0, "gcd": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in counts:
+        fn = getattr(multipoly, name)
+        for module in (multipoly, saito):
+            monkeypatch.setattr(module, name, counting(name, fn), raising=False)
+    for n, kind in ((5, "A"), (4, "B")):
+        verdict = saito_check(_reflection_arrangement(n, kind))
+        assert verdict.free and verdict.reduced
+    assert counts == {"squarefree_part": 0, "gcd": 0}
 
 
 def test_saito_check_rejects_wrong_divisor():
