@@ -1,16 +1,18 @@
 """Exact computer algebra for logarithmic flat connections.
 
 Everything is computed over the rationals (or cyclotomic extensions of
-them) with fractions.Fraction; there is no floating point anywhere.
+them); there is no floating point anywhere.  Coefficients are handed out
+as fractions.Fraction, and polynomials compute on integer numerators over
+one common denominator.
 
 Modules
 -------
 multipoly, cyclotomic
     Exact polynomials: one sparse graded-lex class for polynomials and
     Laurent polynomials in any number of variables (univariate values
-    included), primitive-PRS gcd, univariate division with remainder,
-    cyclotomic factor extraction and arithmetic in cyclotomic quotient
-    rings.
+    included) on integer numerators, primitive-PRS gcd over Z, heap-ordered
+    exact division, univariate division with remainder, cyclotomic factor
+    extraction and arithmetic in cyclotomic quotient rings.
 matrices
     The one matrix core: rational elimination, plus matrix arithmetic and
     fraction-free (Bareiss) determinants over any of the coefficient rings

@@ -11,9 +11,11 @@ generated), 1 for the negative verdicts in NEGATIVE_VERDICTS (not-free,
 not-flat, not-splittable, non-extendable; the certificate is still
 printed), 2 for malformed input.  extend has no negative verdict: chart
 data that present a flat connection always extend, so data that do not
-glue (bad geometry, a non-flat or incompatible chart) are malformed.  With
---json only the certificate is printed, as strict JSON; otherwise the short
-report line precedes it.
+glue (bad geometry, a non-flat or incompatible chart) are malformed.  A
+flat-check document is malformed too when its divisor equation is zero or
+not reduced, or when a field is not logarithmic for it.  With --json only
+the certificate is printed, as strict JSON; otherwise the short report
+line precedes it.
 --oracle adds independent cross-checks; split-filtrations needs none, since
 it always re-verifies its adapted basis.  castle --chain N exits 2 unless
 0 <= N and 2^N * bits(n) <= CHAIN_BUDGET_BITS = 8192, a bound on the bits of
@@ -35,8 +37,9 @@ from .castling import (castling_chain, castling_transform, gen_nonextendable,
 from .extend import extend_connection
 from .filtrations import toric_extendability
 from .jordan import NotQuasiUnipotent, jordan_chevalley, well_behaved_check
-from .matrices import det_bareiss, det_cofactor
-from .saito import flatness_check, saito_check
+from .matrices import det_cofactor
+from .multipoly import is_reduced
+from .saito import flatness_check, nonlogarithmic_field, saito_check
 from .serialize import FormatError
 
 EXIT_OK = 0
@@ -71,12 +74,9 @@ def _load(source: str):
 
 def _cmd_saito_check(args, doc):
     system = ser.saito_system_from_json(doc)
-    if system.divisor.is_zero():
-        raise FormatError("divisor must be a nonzero polynomial")
     verdict = saito_check(system)
     if args.oracle and verdict.free:
-        m = system.saito_matrix()
-        if det_cofactor(m) != det_bareiss(m):
+        if det_cofactor(system.saito_matrix()) != verdict.det:
             raise AssertionError("determinant oracle disagreement")
     unit = ser.frac_to_json(verdict.unit) if verdict.unit is not None else None
     witness = {"free": verdict.free, "reduced": verdict.reduced, "unit": unit,
@@ -86,7 +86,14 @@ def _cmd_saito_check(args, doc):
 
 
 def _cmd_flat_check(args, doc):
-    result = flatness_check(ser.log_connection_from_json(doc))
+    conn = ser.log_connection_from_json(doc)
+    f = conn.system.divisor
+    if not is_reduced(f):
+        raise FormatError("divisor equation is not reduced")
+    i = nonlogarithmic_field(f, conn.system.fields)
+    if i is not None:
+        raise FormatError(f"field {i} is not logarithmic: f does not divide delta_{i}(f)")
+    result = flatness_check(conn)
     witness = {"flat": result.flat,
                "offendingPair": list(result.witness) if result.witness else None}
     return "flat" if result.flat else "not-flat", witness, f"flat: {result.flat}"
@@ -184,10 +191,10 @@ def _cmd_gen_divisor(args, doc):
     n = ser.int_from_json(doc["n"], "n")
     if n < 2:
         raise FormatError("need n >= 2")
-    f = minor_product_divisor(n)
+    divisor = ser.poly_to_json(minor_product_divisor(n))
     names = list(minor_product_variables(n))
-    return ("generated", {"vars": names, "divisor": ser.poly_to_json(f)},
-            f"minor-product divisor in {len(names)} variables, {len(f.terms)} terms")
+    return ("generated", {"vars": names, "divisor": divisor},
+            f"minor-product divisor in {len(names)} variables, {len(divisor)} terms")
 
 
 def _cmd_gen_nonextendable(args, doc):

@@ -269,8 +269,9 @@ def coefficient_rows(entries, windows) -> tuple[dict, int]:
     rows: dict = {}
     for i, entry_row in enumerate(entries):
         for c, p in enumerate(entry_row):
+            terms = p.terms.items()
             for col, d in enumerate(windows[c], offsets[c]):
-                for a, coef in p.terms.items():
+                for a, coef in terms:
                     key = (i, tuple(map(add, a, d)))
                     row = rows.get(key)
                     if row is None:

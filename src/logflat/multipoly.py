@@ -1,41 +1,58 @@
 """Exact sparse polynomials and Laurent polynomials over the rationals.
 
-A value is a map from exponent vectors to nonzero Fraction coefficients over
-a fixed tuple of variables, with a graded-lexicographic term order
-(variables in declaration order).  A value whose ``laurent`` flag is set
-lives in the Laurent ring Q[x_1^+-1, ..., x_n^+-1] and may have negative
-exponents; any other value is a polynomial and a negative exponent is
-rejected at construction.  Arithmetic with a Laurent operand gives a
-Laurent value.  The flag is part of the ring, not of the ring element:
-equality and hashing ignore it.  A univariate polynomial is a one-variable
-value; divmod gives its division with remainder, which the univariate gcd
-and the cyclotomic quotient rings use.  All operations are pure and
-deterministic.
+A value is an integer polynomial over one positive integer denominator: a
+private map from exponent vectors to nonzero int numerators, plus the
+denominator, over a fixed tuple of variables, with a graded-lexicographic
+term order (variables in declaration order).  The pair is canonical: the
+denominator is the lcm of the reduced denominators of the coefficients, so
+it shares no factor with every numerator, and equal values have equal
+pairs.  Products, sums, derivatives, exact division, ``normalize`` and the
+primitive PRS of ``gcd`` all run on Python ints; Fractions appear only at
+the API edge (``terms``, ``coeff``, ``leading``, ``constant_value`` and
+``evaluate``).
+
+A value whose ``laurent`` flag is set lives in the Laurent ring
+Q[x_1^+-1, ..., x_n^+-1] and may have negative exponents; any other value
+is a polynomial and a negative exponent is rejected at construction.
+Arithmetic with a Laurent operand gives a Laurent value.  The flag is part
+of the ring, not of the ring element: equality and hashing ignore it.  A
+univariate polynomial is a one-variable value; divmod gives its division
+with remainder, which the cyclotomic quotient rings use.  Exact division
+and divmod take each leading term of the remainder from a max-heap of its
+exponents with lazy deletion (Monagan-Pearce, "Sparse polynomial division
+using a heap", JSC 2011).  All operations are pure and deterministic.
 
 ``is_reduced`` decides whether a polynomial has a repeated factor with a
 one-sided certificate (von zur Gathen-Gerhard, Modern Computer Algebra,
 ch. 14): f restricted to one fixed line a + t*b, reduced mod the prime
 2^31 - 1, that keeps degree deg f and is coprime to its derivative in
 F_p[t] proves f reduced.  Any other outcome is inconclusive, and the exact
-``squarefree_part`` (a primitive PRS over Q) decides instead, so a "not
+``squarefree_part`` (a primitive PRS over Z) decides instead, so a "not
 reduced" answer always comes from the exact computation.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, lcm
 from operator import add, neg, sub
 
 
-def _as_fraction(c) -> Fraction:
+def _as_rational(c):
+    """c as an int (a bool becomes 0 or 1) or a Fraction."""
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     if isinstance(c, str):
         return Fraction(c)
     raise TypeError(f"cannot coerce {c!r} to a rational")
+
+
+def _as_fraction(c) -> Fraction:
+    c = _as_rational(c)
+    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def grlex_key(expts: tuple[int, ...]) -> tuple:
@@ -43,48 +60,64 @@ def grlex_key(expts: tuple[int, ...]) -> tuple:
 
 
 class MultiPoly:
-    """A sparse polynomial, or Laurent polynomial, with Fraction coefficients.
+    """A sparse polynomial, or Laurent polynomial, with rational
+    coefficients held as int numerators over one int denominator.
 
-    Instances are immutable in practice: no method mutates ``terms`` after
+    Instances are immutable: no method mutates the numerators after
     construction.  Zero coefficients are never stored.
     """
 
-    __slots__ = ("vars", "terms", "laurent")
+    __slots__ = ("vars", "_num", "_den", "laurent")
 
     def __init__(self, variables, terms=None, laurent: bool = False):
         self.vars = tuple(variables)
         self.laurent = bool(laurent)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict = {}
         for e, c in (terms or {}).items():
             e = tuple(int(x) for x in e)
             if len(e) != len(self.vars):
                 raise ValueError("exponent vector length mismatch")
             if not laurent and any(x < 0 for x in e):
                 raise ValueError("negative exponent in MultiPoly")
-            c = _as_fraction(c)
-            if c != 0:
-                clean[e] = clean.get(e, Fraction(0)) + c
-                if clean[e] == 0:
+            c = _as_rational(c)
+            if c:
+                s = clean.get(e, 0) + c
+                if s:
+                    clean[e] = s
+                else:
                     del clean[e]
-        self.terms = clean
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
 
     @classmethod
-    def _clean(cls, variables, terms, laurent) -> MultiPoly:
-        """Wrap a term map that is already clean: Fraction coefficients, no
-        zeros, exponent vectors of the right length that suit the ring."""
+    def _clean(cls, variables, num, den, laurent) -> MultiPoly:
+        """Wrap a canonical pair: nonzero int numerators on exponent vectors
+        of the right length that suit the ring, and a positive denominator
+        coprime to their common content."""
         p = object.__new__(cls)
-        p.vars, p.terms, p.laurent = variables, terms, laurent
+        p.vars, p._num, p._den, p.laurent = variables, num, den, laurent
         return p
+
+    @classmethod
+    def _reduce(cls, variables, num, den, laurent) -> MultiPoly:
+        """Wrap nonzero int numerators over a positive denominator, cancelling
+        the factor the denominator shares with every numerator."""
+        if den != 1:
+            g = int_gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        return cls._clean(variables, num, den, laurent)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, variables, c, laurent: bool = False) -> MultiPoly:
         variables = tuple(variables)
-        c = _as_fraction(c)
-        if c == 0:
-            return cls(variables, laurent=laurent)
-        return cls(variables, {tuple([0] * len(variables)): c}, laurent)
+        c = _as_rational(c)
+        num = {(0,) * len(variables): c.numerator} if c else {}
+        return cls._clean(variables, num, c.denominator, bool(laurent))
 
     @classmethod
     def var(cls, variables, name, power: int = 1) -> MultiPoly:
@@ -92,55 +125,69 @@ class MultiPoly:
         i = variables.index(name)
         e = [0] * len(variables)
         e[i] = power
-        return cls(variables, {tuple(e): Fraction(1)})
+        return cls(variables, {tuple(e): 1})
 
     @classmethod
     def zero(cls, variables) -> MultiPoly:
-        return cls(variables)
+        return cls._clean(tuple(variables), {}, 1, False)
+
+    # -- the rational view --------------------------------------------
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a fresh {exponent: Fraction} dict; changing it
+        leaves the value alone."""
+        den = self._den
+        if den == 1:
+            return {e: Fraction(c) for e, c in self._num.items()}
+        return {e: Fraction(c, den) for e, c in self._num.items()}
+
+    def _fraction(self, c: int) -> Fraction:
+        return Fraction(c) if self._den == 1 else Fraction(c, self._den)
 
     # -- predicates and per-variable data -----------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self._num)
 
     def is_polynomial(self) -> bool:
         """No negative exponent (true of every non-Laurent value)."""
-        return all(x >= 0 for e in self.terms for x in e)
+        return all(x >= 0 for e in self._num for x in e)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get(tuple([0] * len(self.vars)), Fraction(0))
+        return self._fraction(self._num.get((0,) * len(self.vars), 0))
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial has degree -1."""
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._num)
 
     def min_exp(self, i: int = 0) -> int:
         """Lowest exponent of variable i; 0 for the zero polynomial."""
-        return min((e[i] for e in self.terms), default=0)
+        return min((e[i] for e in self._num), default=0)
 
     def max_exp(self, i: int = 0) -> int:
         """Highest exponent of variable i; 0 for the zero polynomial."""
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self._num), default=0)
 
     def coeff(self, *e: int) -> Fraction:
-        return self.terms.get(e, Fraction(0))
+        return self._fraction(self._num.get(e, 0))
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponent, coefficient) in graded-lex order."""
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        e = max(self._num, key=grlex_key)
+        return e, self._fraction(self._num[e])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -151,47 +198,53 @@ class MultiPoly:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
         return other
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in terms:
-                s = terms[e] + c
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
+    def _add(self, other: MultiPoly, sign: int) -> MultiPoly:
+        """self + sign * other over the lcm of the two denominators."""
+        a, b = self._den, other._den
+        den = a if a == b else lcm(a, b)
+        sa, sb = den // a, sign * (den // b)
+        terms = dict(self._num) if sa == 1 else {e: c * sa for e, c in self._num.items()}
+        get = terms.get
+        for e, c in other._num.items():
+            s = get(e, 0) + c * sb
+            if s:
+                terms[e] = s
             else:
-                terms[e] = c
-        return MultiPoly._clean(self.vars, terms, self.laurent or other.laurent)
+                del terms[e]
+        return MultiPoly._reduce(self.vars, terms, den, self.laurent or other.laurent)
+
+    def __add__(self, other):
+        return self._add(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._clean(self.vars, {e: -c for e, c in self.terms.items()},
-                                self.laurent)
+        return MultiPoly._clean(self.vars, {e: -c for e, c in self._num.items()},
+                                self._den, self.laurent)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._add(self._coerce(other), -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            terms = {e: c * other for e, c in self.terms.items()} if other else {}
-            return MultiPoly._clean(self.vars, terms, self.laurent)
+            if not other:
+                return MultiPoly._clean(self.vars, {}, 1, self.laurent)
+            n = other.numerator
+            return MultiPoly._reduce(self.vars, {e: c * n for e, c in self._num.items()},
+                                     self._den * other.denominator, self.laurent)
         other = self._coerce(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        terms: dict[tuple[int, ...], int] = {}
+        get = terms.get
+        items2 = list(other._num.items())
+        for e1, c1 in self._num.items():
+            for e2, c2 in items2:
                 e = tuple(map(add, e1, e2))
-                if e in terms:
-                    terms[e] += c1 * c2
-                else:
-                    terms[e] = c1 * c2
-        return MultiPoly._clean(self.vars, {e: c for e, c in terms.items() if c},
-                                self.laurent or other.laurent)
+                terms[e] = get(e, 0) + c1 * c2
+        return MultiPoly._reduce(self.vars, {e: c for e, c in terms.items() if c},
+                                 self._den * other._den, self.laurent or other.laurent)
 
     __rmul__ = __mul__
 
@@ -212,110 +265,165 @@ class MultiPoly:
             other = MultiPoly.constant(self.vars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars == other.vars and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self._num.items()), self._den))
 
     def shift(self, *k: int) -> MultiPoly:
         """Multiply by the monomial with exponent vector k."""
-        return MultiPoly(self.vars, {tuple(map(add, e, k)): c
-                                     for e, c in self.terms.items()}, self.laurent)
+        if len(k) != len(self.vars):
+            raise ValueError("exponent vector length mismatch")
+        num = {tuple(map(add, e, k)): c for e, c in self._num.items()}
+        if not self.laurent and any(x < 0 for e in num for x in e):
+            raise ValueError("negative exponent in MultiPoly")
+        return MultiPoly._clean(self.vars, num, self._den, self.laurent)
 
     def invert_variable(self) -> MultiPoly:
         """Substitute x -> 1/x for every variable x; the result is a Laurent
         value."""
         return MultiPoly._clean(self.vars, {tuple(map(neg, e)): c
-                                            for e, c in self.terms.items()}, True)
+                                            for e, c in self._num.items()},
+                                self._den, True)
 
     # -- calculus and evaluation --------------------------------------
 
     def derivative(self, name: str) -> MultiPoly:
         i = self.vars.index(name)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
+        terms: dict[tuple[int, ...], int] = {}
+        for e, c in self._num.items():
             if e[i] == 0:
                 continue
             ne = list(e)
             ne[i] -= 1
             terms[tuple(ne)] = c * e[i]
-        return MultiPoly._clean(self.vars, terms, self.laurent)
+        return MultiPoly._reduce(self.vars, terms, self._den, self.laurent)
 
     def evaluate(self, values: dict) -> Fraction:
         """Evaluate at a full assignment of rational values."""
         point = [_as_fraction(values[v]) for v in self.vars]
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self._num.items():
             term = c
             for x, k in zip(point, e):
-                term *= x ** k
+                if k:
+                    term *= x ** k
             total += term
-        return total
+        return total / self._den
 
     # -- division -----------------------------------------------------
 
     def exact_div(self, d: MultiPoly) -> MultiPoly:
         """Exact quotient self / d; raises ValueError if d does not divide
-        self.  Long division by the graded-lex leading term of d: every
-        quotient exponent e must have e_i >= floor_i, where floor_i is 0 for
-        polynomials and min_i(self) - min_i(d) for Laurent values (the
+        self.
+
+        The numerators of self are divided by P, the numerators of d over
+        their integer content.  P is primitive, so by Gauss's lemma an exact
+        quotient is an integer polynomial, and a leading remainder
+        coefficient that P's leading coefficient does not divide proves the
+        division inexact.  Every
+        quotient exponent e must also have e_i >= floor_i, where floor_i is 0
+        for polynomials and min_i(self) - min_i(d) for Laurent values (the
         quotient's lowest exponent in each variable)."""
         d = self._coerce(d)
-        if not d.terms:
+        if not d._num:
             raise ZeroDivisionError("division by zero polynomial")
         laurent = self.laurent or d.laurent
         n = len(self.vars)
-        if laurent and self.terms:
+        if laurent and self._num:
             floor = tuple(self.min_exp(i) - d.min_exp(i) for i in range(n))
         else:
             floor = (0,) * n
-        de, dc = d.leading()
-        dterms = list(d.terms.items())
-        rem = dict(self.terms)
-        q_terms: dict[tuple[int, ...], Fraction] = {}
-        while rem:
-            re = max(rem, key=grlex_key)
+        content = int_gcd(*d._num.values())
+        de = max(d._num, key=grlex_key)
+        dc = d._num[de] // content
+        lower = [(e, c // content) for e, c in d._num.items() if e != de]
+        rem = dict(self._num)
+        # entry (-deg e, -e) for each remainder exponent e: the smallest entry
+        # is the graded-lex largest exponent
+        heap = [(-sum(e), tuple(map(neg, e))) for e in rem]
+        heapify(heap)
+        q_terms: dict[tuple[int, ...], int] = {}
+        while heap:
+            re = tuple(map(neg, heappop(heap)[1]))
+            rc = rem.pop(re, None)
+            if rc is None:                 # a stale entry of a cancelled term
+                continue
             qe = tuple(map(sub, re, de))
             if any(map(int.__lt__, qe, floor)):
                 raise ValueError("not an exact division")
-            qc = rem[re] / dc
+            qc, r = divmod(rc, dc)
+            if r:
+                raise ValueError("not an exact division")
             q_terms[qe] = qc
-            for e, c in dterms:            # rem -= qc * x^qe * d
+            for e, c in lower:             # rem -= qc * x^qe * P
                 k = tuple(map(add, qe, e))
-                s = rem.get(k, 0) - qc * c
-                if s:
-                    rem[k] = s
+                s = rem.get(k)
+                if s is None:
+                    rem[k] = -qc * c
+                    heappush(heap, (-sum(k), tuple(map(neg, k))))
                 else:
-                    del rem[k]
-        return MultiPoly._clean(self.vars, q_terms, laurent)
+                    s -= qc * c
+                    if s:
+                        rem[k] = s
+                    else:
+                        del rem[k]
+        # self / d = (Q / self._den) / (content * P / d._den)
+        if d._den != 1:
+            q_terms = {e: c * d._den for e, c in q_terms.items()}
+        return MultiPoly._reduce(self.vars, q_terms, self._den * content, laurent)
 
     def __divmod__(self, d: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         """Quotient and remainder of one-variable polynomials: self = q*d + r
-        with deg r < deg d."""
+        with deg r < deg d.
+
+        A pseudo-division on the numerators N of self and D of d: with L the
+        leading coefficient of D and k = deg N - deg D, every quotient
+        coefficient of s*N by D is an integer for s = |L|^(k+1), so long
+        division of s*N gives s*N = Q*D + R over Z."""
         d = self._coerce(d)
         if len(self.vars) != 1:
             raise ValueError("univariate polynomial expected")
-        if not d.terms:
+        if not d._num:
             raise ZeroDivisionError("division by zero polynomial")
-        (dd,), dc = d.leading()
-        rem = dict(self.terms)
-        q_terms: dict[tuple[int, ...], Fraction] = {}
-        while rem:
-            top = max(rem)
-            k = top[0] - dd
-            if k < 0:
+        (dd,) = max(d._num)
+        dc = d._num[(dd,)]
+        lower = [(e, c) for (e,), c in d._num.items() if e != dd]
+        scale = abs(dc) ** max(self.max_exp() - dd + 1, 0)
+        rem = {e: c * scale for e, c in self._num.items()}
+        heap = [-e for (e,) in rem]
+        heapify(heap)
+        q_terms: dict[tuple[int, ...], int] = {}
+        while heap:
+            top = -heap[0]
+            if top < dd:
                 break
-            qc = rem[top] / dc
+            heappop(heap)
+            rc = rem.pop((top,), None)
+            if rc is None:
+                continue
+            qc = rc // dc
+            k = top - dd
             q_terms[(k,)] = qc
-            for (e,), c in d.terms.items():        # rem -= qc * t^k * d
+            for e, c in lower:             # rem -= qc * t^k * D
                 key = (e + k,)
-                s = rem.get(key, 0) - qc * c
-                if s:
-                    rem[key] = s
+                s = rem.get(key)
+                if s is None:
+                    rem[key] = -qc * c
+                    heappush(heap, -(e + k))
                 else:
-                    del rem[key]
-        return (MultiPoly._clean(self.vars, q_terms, self.laurent),
-                MultiPoly._clean(self.vars, rem, self.laurent))
+                    s -= qc * c
+                    if s:
+                        rem[key] = s
+                    else:
+                        del rem[key]
+        # self = N / a and d = D / b, so self = (Q*b / (s*a)) * d + R / (s*a)
+        den = self._den * scale
+        if d._den != 1:
+            q_terms = {e: c * d._den for e, c in q_terms.items()}
+        return (MultiPoly._reduce(self.vars, q_terms, den, self.laurent),
+                MultiPoly._reduce(self.vars, rem, den, self.laurent))
 
     def divides(self, other: MultiPoly) -> bool:
         try:
@@ -327,11 +435,11 @@ class MultiPoly:
     # -- printing -----------------------------------------------------
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return "MultiPoly(0)"
         parts = []
-        for e in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[e]
+        for e in sorted(self._num, key=grlex_key, reverse=True):
+            c = self._fraction(self._num[e])
             mono = "*".join(v if k == 1 else f"{v}^{k}"
                             for v, k in zip(self.vars, e) if k)
             if not mono:
@@ -353,41 +461,36 @@ def normalize(f: MultiPoly) -> MultiPoly:
     and positive leading coefficient in graded-lex order."""
     if f.is_zero():
         return f
-    den_lcm = lcm(*(c.denominator for c in f.terms.values()))
-    num_gcd = 0
-    for c in f.terms.values():
-        num_gcd = int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    scale = Fraction(den_lcm, num_gcd)
-    g = f * scale
-    _, lc = g.leading()
-    if lc < 0:
-        g = -g
-    return g
+    num = f._num
+    c = int_gcd(*num.values())
+    if num[max(num, key=grlex_key)] < 0:
+        c = -c
+    if c != 1:
+        num = {e: x // c for e, x in num.items()}
+    return MultiPoly._clean(f.vars, num, 1, f.laurent)
 
 
 def _split_main(f: MultiPoly) -> dict[int, MultiPoly]:
-    """View f as univariate in its first variable with coefficients in the
-    remaining variables."""
+    """View the integer polynomial f (denominator 1) as univariate in its
+    first variable with coefficients in the remaining variables."""
     rest = f.vars[1:]
-    out: dict[int, MultiPoly] = {}
-    for e, c in f.terms.items():
-        k = e[0]
-        coef = out.setdefault(k, MultiPoly.zero(rest))
-        out[k] = coef + MultiPoly(rest, {e[1:]: c})
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    out: dict[int, dict] = {}
+    for e, c in f._num.items():
+        out.setdefault(e[0], {})[e[1:]] = c
+    return {k: MultiPoly._clean(rest, v, 1, False) for k, v in out.items()}
 
 
 def _join_main(coeffs: dict[int, MultiPoly], variables) -> MultiPoly:
-    terms: dict[tuple[int, ...], Fraction] = {}
+    """Inverse of ``_split_main`` on integer coefficient polynomials."""
+    num: dict[tuple[int, ...], int] = {}
     for k, p in coeffs.items():
-        for e, c in p.terms.items():
-            terms[(k,) + e] = c
-    return MultiPoly(variables, terms)
+        for e, c in p._num.items():
+            num[(k,) + e] = c
+    return MultiPoly._clean(variables, num, 1, False)
 
 
 def _pseudo_rem(f: dict[int, MultiPoly], g: dict[int, MultiPoly], rest) -> dict[int, MultiPoly]:
     """Pseudo-remainder of f by g, both univariate with MultiPoly coefficients."""
-    df = max(f) if f else -1
     dg = max(g)
     lg = g[dg]
     rem = dict(f)
@@ -409,8 +512,9 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Primitive greatest common divisor, normalized (integer coefficients,
     content 1, positive graded-lex leading coefficient).
 
-    Uses a primitive polynomial remainder sequence (pseudo-remainders with
-    content extraction at each step), recursing on the variable list.
+    Works on the integer numerators (the gcd over Q ignores scalars) with a
+    primitive polynomial remainder sequence: pseudo-remainders with content
+    extraction at each step, recursing on the variable list.
     """
     if f.vars != g.vars:
         raise ValueError("variable mismatch")
@@ -422,24 +526,33 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return MultiPoly.constant(f.vars, 1)
 
     if len(f.vars) == 1:
-        # univariate over Q: plain Euclid
+        # Euclid with each remainder made primitive: a primitive PRS over Z,
+        # since divmod runs on the numerators
+        f, g = normalize(f), normalize(g)
         while g:
-            f, g = g, divmod(f, g)[1]
-        return normalize(f)
+            f, g = g, normalize(divmod(f, g)[1])
+        return f
 
     rest = f.vars[1:]
-    fu = _split_main(f)
-    gu = _split_main(g)
+    fu = _split_main(normalize(f))
+    gu = _split_main(normalize(g))
 
-    def content(u: dict[int, MultiPoly]) -> MultiPoly:
+    def primitive(u: dict[int, MultiPoly]) -> tuple[MultiPoly, dict[int, MultiPoly]]:
+        """Content in the trailing variables and the primitive part, with the
+        integer content of all coefficients divided out first."""
+        ic = int_gcd(*(c for v in u.values() for c in v._num.values()))
+        if ic != 1:
+            u = {k: MultiPoly._clean(rest, {e: c // ic for e, c in v._num.items()}, 1, False)
+                 for k, v in u.items()}
         c = MultiPoly.zero(rest)
         for coef in u.values():
             c = gcd(c, coef)
-        return c
+            if c.is_constant():        # normalized, so c = 1
+                return c, u
+        return c, {k: v.exact_div(c) for k, v in u.items()}
 
-    cf, cg = content(fu), content(gu)
-    fp = {k: v.exact_div(cf) for k, v in fu.items()}
-    gp = {k: v.exact_div(cg) for k, v in gu.items()}
+    cf, fp = primitive(fu)
+    cg, gp = primitive(gu)
     if max(fp) < max(gp):
         fp, gp = gp, fp
     # primitive PRS on primitive parts
@@ -448,8 +561,7 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         r = _pseudo_rem(a, b, rest)
         if not r:
             break
-        cr = content(r)
-        a, b = b, {k: v.exact_div(cr) for k, v in r.items()}
+        a, b = b, primitive(r)[1]
     cont_gcd = gcd(cf, cg)
     prim = _join_main(b, f.vars)
     return normalize(prim * _lift(cont_gcd, f.vars))
@@ -457,7 +569,8 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 def _lift(p: MultiPoly, variables) -> MultiPoly:
     """Lift a polynomial in trailing variables to the full variable list."""
-    return MultiPoly(variables, {(0,) + e: c for e, c in p.terms.items()})
+    return MultiPoly._clean(variables, {(0,) + e: c for e, c in p._num.items()},
+                            p._den, False)
 
 
 def _reduced_on_line(f: MultiPoly) -> bool:
@@ -468,11 +581,12 @@ def _reduced_on_line(f: MultiPoly) -> bool:
     g mod p keeps degree deg f and gcd(g, g') = 1 in F_p[t], then disc(g)
     is nonzero, so g is squarefree over Q; a square h^2 dividing f would
     restrict to a square of positive degree on a line that keeps the
-    degree, so f is reduced.
+    degree, so f is reduced.  The numerators of f are used: when p does not
+    divide the denominator, they are a unit multiple of f mod p.
     """
     p = 2**31 - 1
     d = f.total_degree()
-    if not 0 <= d < p:
+    if not 0 <= d < p or f._den % p == 0:
         return False
 
     def mul(u, v):
@@ -501,10 +615,8 @@ def _reduced_on_line(f: MultiPoly) -> bool:
         for _ in range(f.max_exp(i)):
             powers[i].append(mul(powers[i][-1], line))
     g = [0] * (d + 1)
-    for e, c in f.terms.items():
-        if c.denominator % p == 0:
-            return False
-        term = [c.numerator * pow(c.denominator, -1, p) % p]
+    for e, c in f._num.items():
+        term = [c % p]
         for i, k in enumerate(e):
             if k:
                 term = mul(term, powers[i][k])

@@ -11,7 +11,7 @@ never raised.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional
@@ -108,6 +108,8 @@ class SaitoVerdict:
     unit: Optional[Fraction]       # det = unit * f when free
     reduced: bool
     witness: str = ""
+    # the determinant of the Saito matrix that a free verdict certified
+    det: Optional[MultiPoly] = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return self.free
@@ -127,14 +129,20 @@ def saito_check(sys: SaitoSystem) -> SaitoVerdict:
     if normalize(d) != normalize(f):
         return SaitoVerdict(False, None, True,
                             "determinant is not proportional to the divisor")
-    # the fields must be logarithmic, delta_i(f) in (f) (K. Saito 1980, 1.9)
-    for i, fld in enumerate(sys.fields):
-        if not f.divides(fld.apply(f)):
-            return SaitoVerdict(False, None, True, f"field {i} is not logarithmic: "
-                                                   f"f does not divide delta_{i}(f)")
+    i = nonlogarithmic_field(f, sys.fields)
+    if i is not None:
+        return SaitoVerdict(False, None, True, f"field {i} is not logarithmic: "
+                                               f"f does not divide delta_{i}(f)")
     le, lc = d.leading()
-    unit = lc / f.terms[le]
-    return SaitoVerdict(True, unit, True)
+    return SaitoVerdict(True, lc / f.coeff(*le), True, det=d)
+
+
+def nonlogarithmic_field(f: MultiPoly, fields) -> Optional[int]:
+    """Index of the first field delta_i that is not logarithmic for f, that
+    is with delta_i(f) not in (f) (K. Saito 1980, 1.9); None when every
+    field is."""
+    return next((i for i, fld in enumerate(fields) if not f.divides(fld.apply(f))),
+                None)
 
 
 # -- structure constants and flatness -----------------------------------

@@ -31,7 +31,8 @@ class FormatError(ValueError):
 # -- scalars ---------------------------------------------------------------
 
 def frac_to_json(x) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -158,6 +159,8 @@ def saito_system_from_json(data) -> SaitoSystem:
     if not variables or len(set(variables)) != len(variables):
         raise FormatError("vars must be a nonempty list of distinct names")
     divisor = poly_from_json(variables, data["divisor"])
+    if divisor.is_zero():
+        raise FormatError("divisor must be a nonzero polynomial")
     fields = []
     for coeffs in array_from_json(data["fields"], "fields"):
         if len(array_from_json(coeffs, "field")) != len(variables):

@@ -1,6 +1,8 @@
 """Shared independent oracles and generators for the test suite."""
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 
 from logflat import matrices as qm
 from logflat.filtrations import Filtration
@@ -78,6 +80,140 @@ def fraction_intersection(*spaces):
     equations = [e for space in spaces for e in fraction_nullspace(space)]
     red, pivots = fraction_rref(fraction_nullspace(equations) if equations else spaces[0])
     return red[: len(pivots)]
+
+
+# -- Fraction polynomial kernels ---------------------------------------------
+# The independent oracles for MultiPoly's integer kernels: term maps
+# {exponent tuple: nonzero Fraction}, with the linear leading-term scan and
+# the Euclid over Q that MultiPoly used before it held int numerators.
+
+def _grlex(e):
+    return (sum(e), e)
+
+
+def fraction_poly_mul(f, g):
+    terms = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def _fraction_poly_sub(f, g):
+    out = dict(f)
+    for e, c in g.items():
+        s = out.get(e, 0) - c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def fraction_exact_div(f, d, laurent=False):
+    """Long division by the graded-lex leading term of d; raises ValueError
+    when a quotient exponent falls below the floor (0, or min(f) - min(d)
+    per variable for Laurent maps)."""
+    if not d:
+        raise ZeroDivisionError("division by zero polynomial")
+    n = len(next(iter(d)))
+    if laurent and f:
+        floor = tuple(min(e[i] for e in f) - min(e[i] for e in d) for i in range(n))
+    else:
+        floor = (0,) * n
+    de = max(d, key=_grlex)
+    rem, q = dict(f), {}
+    while rem:
+        re = max(rem, key=_grlex)
+        qe = tuple(map(sub, re, de))
+        if any(a < b for a, b in zip(qe, floor)):
+            raise ValueError("not an exact division")
+        qc = rem[re] / d[de]
+        q[qe] = qc
+        rem = _fraction_poly_sub(rem, fraction_poly_mul({qe: qc}, d))
+    return q
+
+
+def fraction_divmod(f, d):
+    """Univariate division with remainder over Q on term maps {(k,): c}."""
+    (dd,) = max(d)
+    rem, q = dict(f), {}
+    while rem and max(rem)[0] >= dd:
+        (top,) = max(rem)
+        qc = rem[(top,)] / d[(dd,)]
+        q[(top - dd,)] = qc
+        rem = _fraction_poly_sub(rem, fraction_poly_mul({(top - dd,): qc}, d))
+    return q, rem
+
+
+def fraction_normalize(f):
+    """Integer coefficients with content 1 and a positive graded-lex leading
+    coefficient."""
+    if not f:
+        return f
+    den = lcm(*(c.denominator for c in f.values()))
+    content = 0
+    for c in f.values():
+        content = gcd(content, abs(c.numerator * (den // c.denominator)))
+    scale = Fraction(den, content)
+    if f[max(f, key=_grlex)] < 0:
+        scale = -scale
+    return {e: c * scale for e, c in f.items()}
+
+
+def fraction_gcd(f, g, nvars):
+    """Normalized gcd by Euclid over Q in one variable, and otherwise by a
+    primitive PRS over the first variable with polynomial contents in the
+    others."""
+    if not f:
+        return fraction_normalize(g)
+    if not g:
+        return fraction_normalize(f)
+    if nvars == 0 or not any(any(e) for e in f) or not any(any(e) for e in g):
+        return {(0,) * nvars: Fraction(1)}
+    if nvars == 1:
+        while g:
+            f, g = g, fraction_divmod(f, g)[1]
+        return fraction_normalize(f)
+
+    def split(p):
+        out = {}
+        for e, c in p.items():
+            out.setdefault(e[0], {})[e[1:]] = c
+        return out
+
+    def primitive(u):
+        c = {}
+        for coef in u.values():
+            c = fraction_gcd(c, coef, nvars - 1)
+        return c, {k: fraction_exact_div(v, c) for k, v in u.items()}
+
+    def pseudo_rem(a, b):
+        db = max(b)
+        rem = dict(a)
+        while rem and max(rem) >= db:
+            dr = max(rem)
+            lr = rem[dr]
+            new = {k: fraction_poly_mul(c, b[db]) for k, c in rem.items()}
+            for k, c in b.items():
+                kk = k + dr - db
+                new[kk] = _fraction_poly_sub(new.get(kk, {}), fraction_poly_mul(lr, c))
+            rem = {k: v for k, v in new.items() if v}
+        return rem
+
+    cf, a = primitive(split(f))
+    cg, b = primitive(split(g))
+    if max(a) < max(b):
+        a, b = b, a
+    while True:
+        r = pseudo_rem(a, b)
+        if not r:
+            break
+        a, b = b, primitive(r)[1]
+    prim = {(k,) + e: c for k, coef in b.items() for e, c in coef.items()}
+    cont = {(0,) + e: c for e, c in fraction_gcd(cf, cg, nvars - 1).items()}
+    return fraction_normalize(fraction_poly_mul(prim, cont))
 
 
 def random_filtration(rng, dim, max_steps=3, index_range=(-2, 4)):

@@ -208,6 +208,22 @@ def test_non_integer_fields_exit_two(capsys, cmd, doc, path, value):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (["divisor"], [], "divisor must be a nonzero polynomial"),
+    (["divisor"], [{"c": "1", "e": [3, 0]}], "divisor equation is not reduced"),
+    (["fields", 0, 0], [{"c": "1", "e": [0, 0]}],
+     "field 0 is not logarithmic: f does not divide delta_0(f)"),
+], ids=["zero", "cube", "not-logarithmic"])
+def test_flat_check_reads_the_divisor(capsys, path, value, message):
+    """flat-check certifies a connection against a free divisor, so a zero or
+    non-reduced equation, or a field that is not logarithmic for it, is
+    malformed input: the flat Omega = 0 does not make the document valid."""
+    code, out, _ = run(capsys, "flat-check", json.dumps(FLAT), "--json")
+    assert (code, json.loads(out)["verdict"]) == (0, "flat")
+    code, out, err = run(capsys, "flat-check", json.dumps(_with(FLAT, path, value)), "--json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("cmd", ["saito-check", "flat-check"])
 def test_document_without_variables_exit_two(capsys, cmd):
     doc = {"schema": 1, "vars": [], "divisor": [{"c": "1", "e": []}], "fields": [],

@@ -1,13 +1,17 @@
 """Exact multivariate polynomial arithmetic: ring axioms at random points,
-exact division, gcd, normalization, squarefree detection, and the line
-certificate of reducedness against the exact squarefree part."""
+exact division, gcd, normalization, squarefree detection, the line
+certificate of reducedness against the exact squarefree part, and the
+integer kernels against the Fraction oracles of tests/_oracles.py."""
 import random
 from fractions import Fraction
 
 import pytest
 
+from _oracles import (fraction_divmod, fraction_exact_div, fraction_gcd,
+                      fraction_normalize, fraction_poly_mul)
 from logflat import multipoly
 from logflat.multipoly import MultiPoly, gcd, is_reduced, normalize, squarefree_part
+from logflat.saito import SaitoSystem, VectorField, saito_check
 
 VS = ("x", "y", "z")
 
@@ -264,3 +268,118 @@ def test_negative_exponent_needs_the_laurent_flag():
     assert p.min_exp(1) == -1 and p.max_exp(0) == 2
     assert p.coeff(2, 0) == 3 and not p.is_polynomial()
     assert not MultiPoly(XY, {(1, -1): 1}, laurent=True).is_constant()
+
+
+# -- the integer kernels against the Fraction oracles ------------------------------
+
+def rand_oracle_poly(rng, dim, laurent, nterms=None):
+    """1-4 variables, denominators up to 10^6; Laurent exponents in [-2, 2]."""
+    lo = -2 if laurent else 0
+    return MultiPoly(VS4[:dim], {
+        tuple(rng.randint(lo, 2) for _ in range(dim)):
+        Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        for _ in range(nterms or rng.randint(1, 4))}, laurent)
+
+
+def outcome(kernel, *args):
+    """The kernel's result, or the exception type it raised."""
+    try:
+        return kernel(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def test_mul_and_exact_div_match_the_fraction_oracle():
+    rng = random.Random(13)
+    raised = 0
+    for _ in range(120):
+        dim, laurent = rng.randint(1, 4), rng.random() < 0.4
+        a, d = (rand_oracle_poly(rng, dim, laurent) for _ in range(2))
+        product = a * d
+        assert product.terms == fraction_poly_mul(a.terms, d.terms)
+        # d's content is generic: scale it by an integer on top
+        d = d * rng.randint(1, 30)
+        inexact = product + rand_oracle_poly(rng, dim, laurent, nterms=1)
+        for p in (product, inexact):
+            got = outcome(p.exact_div, d)
+            want = outcome(fraction_exact_div, p.terms, d.terms, laurent)
+            if isinstance(got, MultiPoly):
+                assert got.terms == want
+            else:
+                assert got is want
+                raised += got is ValueError
+    assert raised >= 40
+
+
+def test_exact_div_examples_against_the_oracle():
+    x, y = (MultiPoly.var(XY, v) for v in XY)
+    cases = [
+        (x + 1, 2 * x + 2, False),                         # divisor with content
+        (x * x * Fraction(3, 4) - y * Fraction(3, 4), x * 6 * x - 6 * y, False),
+        (x * x + 1, 2 * x + 2, False),                     # non-exact over Z and Q
+        (x * x + 1, 2 * x + 3, False),                     # 2 does not divide 1
+        (x, 2 * x + 3, False),
+        (x + y, x, False),
+        (MultiPoly(XY, {(-1, 0): 3, (0, 2): Fraction(1, 7)}, laurent=True),
+         MultiPoly(XY, {(-2, 1): 2}, laurent=True), True),  # the Laurent floor
+        (MultiPoly(XY, {(-1, 0): 1, (0, 1): 1}, laurent=True),
+         MultiPoly(XY, {(-1, 1): 1, (0, 0): 1}, laurent=True), True),
+    ]
+    for p, d, laurent in cases:
+        got = outcome(p.exact_div, d)
+        want = outcome(fraction_exact_div, p.terms, d.terms, laurent)
+        assert got.terms == want if isinstance(got, MultiPoly) else got is want
+    assert (x + 1).exact_div(2 * x + 2) == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        (x * x + 1).exact_div(2 * x + 2)
+
+
+def test_gcd_and_normalize_match_the_fraction_oracle():
+    rng = random.Random(14)
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        a, b, g = (rand_oracle_poly(rng, dim, False, nterms=rng.randint(1, 3))
+                   for _ in range(3))
+        f, h = a * g, b * g
+        assert normalize(f).terms == fraction_normalize(f.terms)
+        assert gcd(f, h).terms == fraction_gcd(f.terms, h.terms, dim)
+    # four variables, smaller factors
+    for _ in range(6):
+        a, b, g = (rand_oracle_poly(rng, 4, False, nterms=2) for _ in range(3))
+        assert gcd(a * g, b * g).terms == fraction_gcd((a * g).terms, (b * g).terms, 4)
+
+
+def test_univariate_divmod_matches_the_fraction_oracle():
+    rng = random.Random(15)
+    t = ("t",)
+    for _ in range(60):
+        f, d = (MultiPoly(t, {(rng.randint(0, 6),): Fraction(rng.randint(-10**6, 10**6),
+                                                             rng.randint(1, 10**6))
+                              for _ in range(rng.randint(1, 5))}) for _ in range(2))
+        if d.is_zero():
+            continue
+        q, r = divmod(f, d)
+        want_q, want_r = fraction_divmod(f.terms, d.terms)
+        assert (q.terms, r.terms) == (want_q, want_r)
+        assert q * d + r == f
+
+
+def test_rational_view_is_fractions_only():
+    """Every coefficient the API hands out is a Fraction, never the int
+    numerator (int / int would give a float) or a float."""
+    x, y = (MultiPoly.var(XY, v) for v in XY)
+    values = []
+    for p in (x * 3 - y, x * Fraction(1, 6) + Fraction(1, 4), MultiPoly.constant(XY, 5),
+              MultiPoly.zero(XY), MultiPoly(XY, {(-1, 2): 4}, laurent=True)):
+        values += list(p.terms.values())
+        values += [p.coeff(0, 0), p.coeff(1, 0), p.evaluate({"x": 2, "y": 3})]
+        if p:
+            values.append(p.leading()[1])
+        if p.is_constant():
+            values.append(p.constant_value())
+    fx = x * y * (x - y)
+    fields = [VectorField((x, y)), VectorField((x * x, y * y))]
+    verdict = saito_check(SaitoSystem(tuple(fields), fx * 2))
+    assert verdict.free
+    values.append(verdict.unit)
+    assert values and all(type(v) is Fraction for v in values)
