@@ -12,18 +12,18 @@ multipoly, cyclotomic
     Laurent polynomials in any number of variables (univariate values
     included) on integer numerators, primitive-PRS gcd over Z, heap-ordered
     exact division, univariate division with remainder, cyclotomic factor
-    extraction and arithmetic in cyclotomic quotient rings.
+    extraction and arithmetic in quotient rings Q[t]/(g).
 matrices
     The one matrix core: rational elimination, plus matrix arithmetic and
     fraction-free (Bareiss) determinants over any of the coefficient rings
-    (rationals, polynomials, Laurent polynomials, cyclotomic numbers), and
+    (rationals, polynomials, Laurent polynomials, quotient rings Q[t]/(g)), and
     the one builder of rational rows for polynomial linear systems.
 saito
     Logarithmic vector fields, Saito's freeness criterion, weighted
     homogeneity, flatness of connection matrices in a frame of fields.
 jordan
-    Jordan-Chevalley decomposition, quasi-unipotent weight data, the
-    spectral central logarithm with verified projector identities.
+    Jordan-Chevalley decomposition by Newton in Q[x]/(chi), quasi-unipotent
+    weights, the spectral central logarithm with verified projectors.
 filtrations
     Decreasing Z-filtrations, simultaneous splitting with adapted-basis
     witnesses or NotSplittable certificates, toric extendability.

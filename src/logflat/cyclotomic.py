@@ -1,15 +1,14 @@
 """Cyclotomic polynomials, cyclotomic factor extraction, and exact
-arithmetic in the quotient rings Q[t]/Phi_m(t).
+arithmetic in the quotient rings Q[t]/(g), g = Phi_m or any other modulus.
 
 Every polynomial here is a one-variable MultiPoly: Phi_d is built and
 factors are peeled with exact_div, and a quotient-ring element is reduced
 with MultiPoly's division with remainder (divmod).  No complex embedding
-is ever taken: a root of unity is the class of t in the quotient ring, and
-all identities are verified algebraically.
+is ever taken: a root of unity is the class of t in Q[t]/Phi_m, and all
+identities are verified algebraically.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .multipoly import MultiPoly
@@ -82,69 +81,69 @@ def cyclotomic_split(p: MultiPoly) -> tuple[list[tuple[int, int]], MultiPoly]:
 cyclotomic_split_upoly = cyclotomic_split   # the name jordan calls and the benchmark traces
 
 
-class CycloNum:
-    """An element of Q[t]/Phi_m(t), stored as its reduced representative:
-    a polynomial in t of degree below deg Phi_m."""
+class QuotientNum:
+    """An element of Q[t]/(g), g a one-variable MultiPoly and not always
+    irreducible, stored as its representative of degree below deg g."""
 
-    __slots__ = ("m", "poly")
+    __slots__ = ("modulus", "poly")
 
-    def __init__(self, m: int, coeffs):
-        """coeffs: a representative in t, as a MultiPoly or as its
-        coefficients in ascending degree."""
-        self.m = m
-        if not isinstance(coeffs, MultiPoly):
-            coeffs = MultiPoly(_T, {(k,): c for k, c in enumerate(coeffs)})
-        self.poly = divmod(coeffs, cyclotomic_upoly(m))[1]
-
-    @classmethod
-    def rational(cls, m: int, c) -> CycloNum:
-        return cls(m, [Fraction(c)])
+    def __init__(self, modulus: MultiPoly, value):
+        """value: a representative, as a MultiPoly in the modulus's variable,
+        or a rational."""
+        self.modulus = modulus
+        if not isinstance(value, MultiPoly):
+            value = MultiPoly.constant(modulus.vars, value)
+        self.poly = divmod(value, modulus)[1]
 
     @classmethod
-    def zeta(cls, m: int, power: int = 1) -> CycloNum:
-        """The class of t^power: a primitive m-th root of unity to that power."""
-        return cls(m, MultiPoly.var(_T, "t", power % m))
+    def zeta(cls, m: int, power: int = 1) -> QuotientNum:
+        """t^power in Q[t]/Phi_m: a primitive m-th root of unity to that power."""
+        return cls(cyclotomic_upoly(m), MultiPoly.var(_T, "t", power % m))
 
-    def _coerce(self, other) -> CycloNum:
-        if isinstance(other, CycloNum):
-            if other.m != self.m:
-                raise ValueError("mixed cyclotomic moduli")
+    def _coerce(self, other) -> QuotientNum:
+        if isinstance(other, QuotientNum):
+            if other.modulus != self.modulus:
+                raise ValueError("mixed moduli")
             return other
-        return CycloNum.rational(self.m, other)
+        return QuotientNum(self.modulus, other)
 
     def __add__(self, other):
-        return CycloNum(self.m, self.poly + self._coerce(other).poly)
+        return QuotientNum(self.modulus, self.poly + self._coerce(other).poly)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.m, -self.poly)
+        return QuotientNum(self.modulus, -self.poly)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        return CycloNum(self.m, self.poly * self._coerce(other).poly)
+        return QuotientNum(self.modulus, self.poly * self._coerce(other).poly)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> CycloNum:
-        """Extended Euclid: s * self = gcd(self, Phi_m) modulo Phi_m, and
-        the gcd is a nonzero constant unless self is zero."""
-        r0, r1 = self.poly, cyclotomic_upoly(self.m)
-        s0, s1 = MultiPoly.constant(_T, 1), MultiPoly.zero(_T)
+    def inverse(self) -> QuotientNum:
+        """Extended Euclid: s * self = gcd(self, g) modulo g, and self is a
+        unit exactly when that gcd is a nonzero constant."""
+        r0, r1 = self.poly, self.modulus
+        s0, s1 = MultiPoly.constant(r0.vars, 1), MultiPoly.zero(r0.vars)
         while r1:
             q, r = divmod(r0, r1)
             r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
         if r0.total_degree() != 0:
             raise ZeroDivisionError("element is not invertible")
-        return CycloNum(self.m, s0 * (1 / r0.constant_value()))
+        return QuotientNum(self.modulus, s0 * (1 / r0.constant_value()))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
+
+    def substitute(self, p: MultiPoly) -> QuotientNum:
+        """p(self) for a one-variable polynomial p, by Horner's rule."""
+        out = QuotientNum(self.modulus, 0)
+        for k in range(p.total_degree(), -1, -1):
+            out = out * self + p.coeff(k)
+        return out
 
     def is_zero(self) -> bool:
         return not self.poly
@@ -160,17 +159,13 @@ class CycloNum:
         return self.poly == o.poly
 
     def __hash__(self):
-        return hash((self.m, self.poly))
+        return hash((self.modulus, self.poly))
 
     def __repr__(self):
-        return f"CycloNum(m={self.m}, {self.poly!r})"
+        return f"QuotientNum({self.modulus!r}, {self.poly!r})"
 
 
-# -- matrices over a cyclotomic quotient ring ---------------------------
+# -- matrices over a quotient ring ----------------------------------------
 
-def cmat_from_rational(m: int, a) -> list:
-    return [[CycloNum.rational(m, c) for c in row] for row in a]
-
-
-def cmat_identity(m: int, n: int) -> list:
-    return [[CycloNum.rational(m, int(i == j)) for j in range(n)] for i in range(n)]
+def cmat_from_rational(modulus: MultiPoly, a) -> list:
+    return [[QuotientNum(modulus, c) for c in row] for row in a]

@@ -3,12 +3,12 @@ weight extraction, central logarithms in spectral form, and the
 well-behaved-monodromy check.
 
 Everything is exact, and one characteristic polynomial chi of M serves the
-decomposition: chi(0) != 0 tests invertibility, the semisimple part S is
-produced by Newton iteration against the squarefree part of chi, and the
-weights of S (which shares chi), rationals q in [0,1), are read off its
-cyclotomic factors.  The logarithm of the semisimple part is a combination
-of spectral projectors over Q[t]/Phi_m.  No floating point, no complex
-embedding.
+decomposition: chi(0) != 0 tests invertibility, the semisimple part S = q(M)
+comes from Newton's iteration on one polynomial q in Q[x]/(chi), against the
+squarefree part of chi, with no matrix inverse, and the weights of S (which
+shares chi), rationals in [0,1), are read off its cyclotomic factors.  The
+logarithm of the semisimple part is a combination of spectral projectors
+over Q[t]/Phi_m.  No floating point, no complex embedding.
 """
 from __future__ import annotations
 
@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
 
-from .cyclotomic import (CycloNum, cmat_from_rational, cmat_identity,
-                         cyclotomic_split_upoly)
-from .matrices import (QMatrix, eval_poly_at_matrix, is_zero_matrix,
-                       mat_add, mat_eq, mat_inv, mat_mul, mat_scale, mat_sub,
-                       charpoly)
-from .multipoly import squarefree_part
+from .cyclotomic import (QuotientNum, cmat_from_rational, cyclotomic_split_upoly,
+                         cyclotomic_upoly)
+from .matrices import (QMatrix, eval_poly_at_matrix, identity, is_zero_matrix,
+                       mat_add, mat_eq, mat_mul, mat_scale, charpoly)
+from .multipoly import MultiPoly, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -35,26 +34,28 @@ class JCPair:
 
 def jordan_chevalley(m: QMatrix) -> JCPair:
     """Multiplicative Jordan-Chevalley decomposition of an invertible
-    rational matrix, with the weights of its semisimple part."""
+    rational matrix, with the weights of its semisimple part: S = q(M) and
+    U = (x/q)(M), where q in Q[x]/(chi) solves p(q) = 0, p the squarefree part
+    of chi; p(q) = 0 proves S semisimple.  q is a unit, since
+    q(lambda) = lambda != 0 at every root lambda of chi."""
     n = len(m)
     chi = charpoly(m)
     if not chi.coeff(0):        # chi(0) = (-1)^n det m
         raise ValueError("matrix is singular")
     p = squarefree_part(chi)[0]
     dp = p.derivative(p.vars[0])
-    s = [row[:] for row in m]
-    # Newton: s <- s - p(s) * p'(s)^{-1}; converges quadratically since
-    # p(m) is nilpotent and gcd(p, p') = 1.  Scaling p leaves the step alone.
+    # Newton from q = x: p(x) is nilpotent mod chi and gcd(p, p') = 1, so
+    # p'(q) is a unit and the iteration converges quadratically
+    x = q = QuotientNum(chi, MultiPoly.var(chi.vars, chi.vars[0]))
     for _ in range(max(1, n.bit_length() + 1)):
-        ps = eval_poly_at_matrix(p, s)
-        if is_zero_matrix(ps):
+        pq = q.substitute(p)
+        if not pq:
             break
-        dps = eval_poly_at_matrix(dp, s)
-        s = mat_sub(s, mat_mul(ps, mat_inv(dps)))
+        q = q - pq / q.substitute(dp)
     else:
         raise AssertionError("Newton iteration did not converge")
-    u = mat_mul(mat_inv(s), m)
-    return JCPair(S=s, U=u, weights=_weights_from_charpoly(chi))
+    return JCPair(S=eval_poly_at_matrix(q.poly, m), U=eval_poly_at_matrix((x / q).poly, m),
+                  weights=_weights_from_charpoly(chi))
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,8 @@ class SpectralLog:
     """
     field_order: int
     weights: tuple        # tuple[WeightEntry, ...]
-    projectors: tuple     # tuple of CycloNum matrices, aligned with weights
-    matrix: tuple         # A itself as a CycloNum matrix (rows of tuples)
+    projectors: tuple     # tuple of QuotientNum matrices, aligned with weights
+    matrix: tuple         # A itself as a QuotientNum matrix (rows of tuples)
 
 
 def central_log(s: QMatrix) -> SpectralLog:
@@ -144,10 +145,10 @@ def central_log(s: QMatrix) -> SpectralLog:
     if isinstance(data, NotQuasiUnipotent):
         raise ValueError(f"not quasi-unipotent: factor {data.factor!r}")
     m = data.field_order
-    n = len(s)
-    sc = cmat_from_rational(m, s)
-    ident = cmat_identity(m, n)
-    lambdas = [CycloNum.zeta(m, e.exponent * (m // e.order)) for e in data.entries]
+    phi = cyclotomic_upoly(m)
+    sc = cmat_from_rational(phi, s)
+    ident = cmat_from_rational(phi, identity(len(s)))
+    lambdas = [QuotientNum.zeta(m, e.exponent * (m // e.order)) for e in data.entries]
     projectors = []
     for j, lam_j in enumerate(lambdas):
         p = ident
@@ -159,7 +160,7 @@ def central_log(s: QMatrix) -> SpectralLog:
             p = mat_mul(p, factor)
         projectors.append(p)
     # verified identities
-    total = mat_scale(ident, CycloNum.rational(m, 0))
+    total = mat_scale(ident, 0)
     for p in projectors:
         total = mat_add(total, p)
     if not mat_eq(total, ident):
@@ -171,9 +172,9 @@ def central_log(s: QMatrix) -> SpectralLog:
     for lam, p in zip(lambdas, projectors):
         if not mat_eq(mat_mul(sc, p), mat_scale(p, lam)):
             raise AssertionError("eigen-equation S P = lambda P fails")
-    a = mat_scale(ident, CycloNum.rational(m, 0))
+    a = mat_scale(ident, 0)
     for e, p in zip(data.entries, projectors):
-        a = mat_add(a, mat_scale(p, CycloNum.rational(m, e.weight)))
+        a = mat_add(a, mat_scale(p, e.weight))
     return SpectralLog(field_order=m, weights=data.entries,
                        projectors=tuple(tuple(tuple(row) for row in p) for p in projectors),
                        matrix=tuple(tuple(row) for row in a))

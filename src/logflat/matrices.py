@@ -14,7 +14,8 @@ The helpers mat_add, mat_sub, mat_mul, mat_scale, mat_eq, is_zero_matrix,
 commutator, det_bareiss and det_cofactor work over any commutative ring
 whose elements support + - * and ==, and whose truth value is false
 exactly for zero: Fraction, MultiPoly (polynomials and, with the Laurent
-flag, Laurent polynomials in any number of variables) and CycloNum.
+flag, Laurent polynomials in any number of variables) and QuotientNum
+(quotient rings Q[t]/(g), cyclotomic ones included).
 det_bareiss divides exactly with the elements' exact_div, so it needs an
 integral domain (MultiPoly); det_cofactor, exponential, is kept only as an
 independent oracle for it.
@@ -293,18 +294,18 @@ def charpoly(a: QMatrix, var: str = "t") -> MultiPoly:
 
 
 def eval_poly_at_matrix(p: MultiPoly, a: QMatrix) -> QMatrix:
-    """Evaluate a univariate polynomial at a rational matrix."""
+    """p(a) by Horner: deg p products, each coefficient added on the diagonal."""
     if len(p.vars) != 1:
         raise ValueError("univariate polynomial expected")
     n = len(a)
     out = zeros(n)
-    power = identity(n)
-    coeffs = {e[0]: c for e, c in p.terms.items()}
-    for k in range(max(coeffs, default=0) + 1):
-        c = coeffs.get(k)
-        if c is not None:
-            out = mat_add(out, mat_scale(power, c))
-        power = mat_mul(power, a)
+    for k in range(p.total_degree(), -1, -1):
+        c = p.coeff(k)
+        if c:
+            for i in range(n):
+                out[i][i] += c
+        if k:
+            out = mat_mul(out, a)
     return out
 
 

@@ -122,7 +122,8 @@ def saito_check(sys: SaitoSystem) -> SaitoVerdict:
     d = det_bareiss(sys.saito_matrix())
     f = sys.divisor
     if d.is_zero():
-        return SaitoVerdict(False, None, False, "saito determinant vanishes")
+        return SaitoVerdict(False, None, bool(f) and is_reduced(f),
+                            "saito determinant vanishes")
     if not is_reduced(f):
         return SaitoVerdict(False, None, False, "divisor equation is not reduced")
     # d = c*f  <=>  same normalization and proportional

@@ -6,7 +6,7 @@ from operator import add, sub
 
 from logflat import matrices as qm
 from logflat.filtrations import Filtration
-from logflat.multipoly import MultiPoly
+from logflat.multipoly import MultiPoly, squarefree_part
 
 
 def fraction_rref(a):
@@ -243,6 +243,25 @@ def grid_candidates(dim, bound=1):
             continue
         out.append([Fraction(c) for c in v])
     return out
+
+
+def matrix_newton_jc(m):
+    """(S, U) of the multiplicative Jordan-Chevalley decomposition by
+    Newton's iteration on matrices, s <- s - p(s) p'(s)^-1 from s = m with p
+    the squarefree part of charpoly(m), and U = S^-1 m: the independent
+    oracle for jordan_chevalley, which iterates on one polynomial mod chi."""
+    n = len(m)
+    p = squarefree_part(qm.charpoly(m))[0]
+    dp = p.derivative(p.vars[0])
+    s = [row[:] for row in m]
+    for _ in range(max(1, n.bit_length() + 1)):
+        ps = qm.eval_poly_at_matrix(p, s)
+        if qm.is_zero_matrix(ps):
+            break
+        s = qm.mat_sub(s, qm.mat_mul(ps, qm.mat_inv(qm.eval_poly_at_matrix(dp, s))))
+    else:
+        raise AssertionError("Newton iteration did not converge")
+    return s, qm.mat_mul(qm.mat_inv(s), m)
 
 
 def is_unipotent(u):

@@ -15,7 +15,7 @@ from logflat.castling import (PrehomDescriptor, castling_chain,
                               minor_product_divisor, minor_product_variables,
                               morita_rescale, pullback_residue,
                               residual_sl_trivial)
-from logflat.cyclotomic import CycloNum, cmat_from_rational, cmat_identity
+from logflat.cyclotomic import QuotientNum, cmat_from_rational, cyclotomic_upoly
 from logflat.extend import extend_connection, generate_connection_corpus
 from logflat.filtrations import (AdaptedBasis, Filtration, NotSplittable,
                                  simultaneous_split)
@@ -130,10 +130,11 @@ def test_criterion_04_central_log_suite(capsys):
     for s in fixtures:
         log = central_log(s)
         m, n = log.field_order, len(s)
-        sc = cmat_from_rational(m, s)
-        ident = cmat_identity(m, n)
+        phi = cyclotomic_upoly(m)
+        sc = cmat_from_rational(phi, s)
+        ident = cmat_from_rational(phi, qm.identity(n))
         ps = [[list(row) for row in p] for p in log.projectors]
-        total = [[CycloNum.rational(m, 0)] * n for _ in range(n)]
+        total = [[QuotientNum(phi, 0)] * n for _ in range(n)]
         for p in ps:
             total = [[a + b for a, b in zip(ra, rb)]
                      for ra, rb in zip(total, p)]
@@ -142,7 +143,7 @@ def test_criterion_04_central_log_suite(capsys):
         for j, pj in enumerate(ps):
             for k, pk in enumerate(ps):
                 prod = [[sum((pj[i][t] * pk[t][c] for t in range(n)),
-                             CycloNum.rational(m, 0)) for c in range(n)]
+                             QuotientNum(phi, 0)) for c in range(n)]
                         for i in range(n)]
                 want = pj if j == k else None
                 if want is None:
@@ -151,9 +152,9 @@ def test_criterion_04_central_log_suite(capsys):
                     ok = ok and all(prod[i][c] == want[i][c]
                                     for i in range(n) for c in range(n))
         for e, p in zip(log.weights, ps):
-            zeta = CycloNum.zeta(m, e.exponent * (m // e.order))
+            zeta = QuotientNum.zeta(m, e.exponent * (m // e.order))
             sp = [[sum((sc[i][t] * p[t][c] for t in range(n)),
-                       CycloNum.rational(m, 0)) for c in range(n)]
+                       QuotientNum(phi, 0)) for c in range(n)]
                   for i in range(n)]
             ok = ok and all(sp[i][c] == p[i][c] * zeta
                             for i in range(n) for c in range(n))

@@ -1,13 +1,16 @@
 """Jordan-Chevalley decomposition, quasi-unipotent weights, the spectral
 central logarithm, and the well-behaved check."""
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from _oracles import is_polynomial_in, is_unipotent, minpoly
+from _oracles import is_polynomial_in, is_unipotent, matrix_newton_jc, minpoly
 from logflat import matrices as qm
-from logflat.cyclotomic import CycloNum, cmat_from_rational, cmat_identity
+from logflat import serialize as ser
+from logflat.cyclotomic import QuotientNum, cmat_from_rational, cyclotomic_upoly
 from logflat.jordan import (NotQuasiUnipotent, central_log, jordan_chevalley,
                             quasi_unipotent_weights, well_behaved_check)
 from logflat.multipoly import MultiPoly, squarefree_part
@@ -40,9 +43,54 @@ def test_jordan_chevalley_jordan_block():
     assert pair.U == qm.qmat([[1, Fraction(1, 2)], [0, 1]])
 
 
+def rand_fraction_invertible(rng, n):
+    while True:
+        m = [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(n)]
+             for _ in range(n)]
+        if qm.rank(m) == n:
+            return m
+
+
+def conjugated_jordan_form(rng, n):
+    """P J P^-1 for a random rational P and a Jordan form J of size n with
+    blocks of size 1 to 3 and nonzero rational eigenvalues, some repeated."""
+    j = qm.zeros(n)
+    start = 0
+    while start < n:
+        size = min(rng.randrange(1, 4), n - start)
+        lam = rng.choice([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2)])
+        for i in range(start, start + size):
+            j[i][i] = lam
+            if i + 1 < start + size:
+                j[i][i + 1] = Fraction(1)
+        start += size
+    p = rand_fraction_invertible(rng, n)
+    return qm.mat_mul(qm.mat_mul(p, j), qm.mat_inv(p))
+
+
+def test_jordan_chevalley_matches_matrix_newton():
+    """S and U equal, exactly, those of Newton's iteration on matrices with a
+    matrix inverse per step: on random rational matrices (almost always
+    semisimple), on conjugated Jordan forms (never semisimple unless every
+    block has size 1), and on the input of every jc golden file."""
+    rng = random.Random(44)
+    cases = [rand_fraction_invertible(rng, n) for n in range(2, 9) for _ in range(2)]
+    cases += [conjugated_jordan_form(rng, n) for n in range(2, 8) for _ in range(2)]
+    golden = sorted((Path(__file__).parent / "golden").glob("jc-*.json"))
+    cases += [ser.qmat_from_json(json.loads(path.read_text())["input"]["matrix"])
+              for path in golden]
+    assert len(golden) == 11
+    non_semisimple = 0
+    for m in cases:
+        pair = jordan_chevalley(m)
+        s, u = matrix_newton_jc(m)
+        assert (pair.S, pair.U) == (s, u)
+        non_semisimple += not qm.mat_eq(u, qm.identity(len(m)))
+    assert non_semisimple >= 10
+
+
 def _rotation_order(k):
     """Companion matrix of the k-th cyclotomic polynomial: order exactly k."""
-    from logflat.cyclotomic import cyclotomic_upoly
     phi = cyclotomic_upoly(k)
     d = phi.total_degree()
     coeffs = [phi.coeff(i) for i in range(d + 1)]
@@ -115,11 +163,12 @@ def test_central_log_projector_identities():
         log = central_log(m)
         mm = log.field_order
         n = len(m)
-        sc = cmat_from_rational(mm, m)
-        ident = cmat_identity(mm, n)
+        phi = cyclotomic_upoly(mm)
+        sc = cmat_from_rational(phi, m)
+        ident = cmat_from_rational(phi, qm.identity(n))
         projectors = [[ [x for x in row] for row in p] for p in log.projectors]
         # sum of projectors is the identity
-        total = [[CycloNum.rational(mm, 0)] * n for _ in range(n)]
+        total = [[QuotientNum(phi, 0)] * n for _ in range(n)]
         for p in projectors:
             total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, p)]
         assert all(total[i][j] == ident[i][j] for i in range(n) for j in range(n))
@@ -127,7 +176,7 @@ def test_central_log_projector_identities():
         for j, pj in enumerate(projectors):
             for k, pk in enumerate(projectors):
                 prod = [[sum((pj[i][t] * pk[t][c] for t in range(n)),
-                             CycloNum.rational(mm, 0)) for c in range(n)]
+                             QuotientNum(phi, 0)) for c in range(n)]
                         for i in range(n)]
                 if j != k:
                     assert all(x.is_zero() for row in prod for x in row)
@@ -135,9 +184,9 @@ def test_central_log_projector_identities():
                     assert all(prod[i][c] == pj[i][c]
                                for i in range(n) for c in range(n))
         for e, p in zip(log.weights, projectors):
-            zeta = CycloNum.zeta(mm, e.exponent * (mm // e.order))
+            zeta = QuotientNum.zeta(mm, e.exponent * (mm // e.order))
             sp = [[sum((sc[i][t] * p[t][c] for t in range(n)),
-                       CycloNum.rational(mm, 0)) for c in range(n)]
+                       QuotientNum(phi, 0)) for c in range(n)]
                   for i in range(n)]
             assert all(sp[i][c] == p[i][c] * zeta
                        for i in range(n) for c in range(n))

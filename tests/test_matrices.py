@@ -13,7 +13,7 @@ from _oracles import (fraction_intersection, fraction_inverse, fraction_nullspac
                       fraction_rref, fraction_solve, minpoly)
 from logflat import bilaurent, filtrations, laurent
 from logflat import matrices as qm
-from logflat.cyclotomic import CycloNum
+from logflat.cyclotomic import QuotientNum, cyclotomic_upoly
 from logflat.multipoly import MultiPoly
 
 
@@ -274,7 +274,8 @@ RING_ELEMENTS = {
     "BiLaurent": lambda rng: MultiPoly(("x", "y"), {
         (rng.randrange(-1, 2), rng.randrange(-1, 2)): rng.randrange(-2, 3)
         for _ in range(2)}, laurent=True),
-    "CycloNum": lambda rng: CycloNum(5, [rng.randrange(-2, 3) for _ in range(5)]),
+    "CycloNum": lambda rng: QuotientNum(cyclotomic_upoly(5), MultiPoly(("t",), {
+        (k,): rng.randrange(-2, 3) for k in range(5)})),
 }
 
 

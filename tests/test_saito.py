@@ -101,6 +101,18 @@ def test_saito_check_rejects_nonreduced():
     assert not verdict.free and not verdict.reduced
 
 
+def test_vanishing_determinant_still_reports_reducedness():
+    """A vanishing Saito determinant says nothing about f: xy with the fields
+    x d/dx twice is reduced, x^2 y is not, and a zero f is not either."""
+    x, y = v2("x"), v2("y")
+    z = MultiPoly.zero(XY)
+    fields = (field2(x, z), field2(x, z))
+    for f, reduced in ((x * y, True), (x * x * y, False), (z, False)):
+        verdict = saito_check(SaitoSystem(fields, f))
+        assert (verdict.free, verdict.reduced) == (False, reduced)
+        assert verdict.witness == "saito determinant vanishes"
+
+
 def _reflection_arrangement(n, kind):
     """A_{n-1} (the braid arrangement) or B_n with its basic invariant
     derivations sum_i x_i^k d_i (Saito 1980; both are free)."""
