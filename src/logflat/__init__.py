@@ -20,7 +20,8 @@ matrices
     the one builder of rational rows for polynomial linear systems.
 saito
     Logarithmic vector fields, Saito's freeness criterion, weighted
-    homogeneity, flatness of connection matrices in a frame of fields.
+    homogeneity, flatness of connection matrices in a frame of fields with
+    structure constants by Cramer's rule.
 jordan
     Jordan-Chevalley decomposition by Newton in Q[x]/(chi), quasi-unipotent
     weights, the spectral central logarithm with verified projectors.

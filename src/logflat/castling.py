@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import matrices as qm
 from .matrices import QMatrix, commutator, det_bareiss, is_zero_matrix, mat_eq, zeros
@@ -130,15 +131,13 @@ def sl_basis(k: int) -> list:
     return basis
 
 
-def _expand_in_basis(m: QMatrix, basis: list):
-    """Coordinates of a traceless matrix in the sl basis, exact."""
+def _sl_coordinates(m: QMatrix) -> list:
+    """Coordinates of a traceless k x k matrix X in sl_basis(k), read off X
+    (indices from 1): X_ij on e_ij, and X_11 + ... + X_ii on h_i, since
+    X_ll = a_l - a_(l-1) for the h coordinates a (a_0 = a_k = 0)."""
     k = len(m)
-    cols = [[b[i][j] for i in range(k) for j in range(k)] for _, b in basis]
-    target = [m[i][j] for i in range(k) for j in range(k)]
-    sol = qm.solve(qm.transpose(cols), target)
-    if sol is None:
-        raise ValueError("matrix is not in the span of the sl basis")
-    return sol
+    return ([m[i][j] for i in range(k) for j in range(k) if i != j]
+            + list(accumulate(m[i][i] for i in range(k - 1))))
 
 
 def check_sl_relations(k: int, images: list) -> None:
@@ -150,7 +149,7 @@ def check_sl_relations(k: int, images: list) -> None:
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             br = commutator(basis[a][1], basis[b][1])
-            coords = _expand_in_basis(br, basis)
+            coords = _sl_coordinates(br)
             expected = zeros(len(images[0]))
             for c, img in zip(coords, images):
                 if c != 0:

@@ -13,7 +13,8 @@ printed), 2 for malformed input.  extend has no negative verdict: chart
 data that present a flat connection always extend, so data that do not
 glue (bad geometry, a non-flat or incompatible chart) are malformed.  A
 flat-check document is malformed too when its divisor equation is zero or
-not reduced, or when a field is not logarithmic for it.  With --json only
+not reduced, when a field is not logarithmic for it, or when the fields are
+dependent or a bracket of two of them leaves their span.  With --json only
 the certificate is printed, as strict JSON; otherwise the short report
 line precedes it.
 --oracle adds independent cross-checks; split-filtrations needs none, since
@@ -39,7 +40,8 @@ from .filtrations import toric_extendability
 from .jordan import NotQuasiUnipotent, jordan_chevalley, well_behaved_check
 from .matrices import det_cofactor
 from .multipoly import is_reduced
-from .saito import flatness_check, nonlogarithmic_field, saito_check
+from .saito import (NotASaitoSystemError, flatness_check, nonlogarithmic_field,
+                    saito_check)
 from .serialize import FormatError
 
 EXIT_OK = 0
@@ -93,7 +95,10 @@ def _cmd_flat_check(args, doc):
     i = nonlogarithmic_field(f, conn.system.fields)
     if i is not None:
         raise FormatError(f"field {i} is not logarithmic: f does not divide delta_{i}(f)")
-    result = flatness_check(conn)
+    try:
+        result = flatness_check(conn)
+    except NotASaitoSystemError as exc:
+        raise FormatError(str(exc)) from exc
     witness = {"flat": result.flat,
                "offendingPair": list(result.witness) if result.witness else None}
     return "flat" if result.flat else "not-flat", witness, f"flat: {result.flat}"

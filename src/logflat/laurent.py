@@ -28,20 +28,6 @@ def lmat_det(a: list) -> MultiPoly:
     return qm.det_bareiss(a)
 
 
-def lmat_adjugate(a: list) -> list:
-    n = len(a)
-    variables = a[0][0].vars
-    if n == 1:
-        return [[MultiPoly.constant(variables, 1, laurent=True)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = lmat_det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
-
-
 def lmat_inverse(a: list) -> list:
     """Inverse of a Laurent matrix whose determinant is a unit c*z^k."""
     d = lmat_det(a)
@@ -49,8 +35,7 @@ def lmat_inverse(a: list) -> list:
         raise ValueError("determinant is not a unit monomial")
     ((e,), c), = d.terms.items()
     inv_det = MultiPoly(d.vars, {(-e,): 1 / c}, laurent=True)
-    adj = lmat_adjugate(a)
-    return qm.mat_scale(adj, inv_det)
+    return qm.mat_scale(qm.adjugate(a), inv_det)
 
 
 class Transition:

@@ -11,22 +11,21 @@ A subspace of Q^m is held as its canonical basis, the rref rows with no zero
 rows, as row_space, intersect_row_spaces and Filtration.subspace return it;
 in_row_space relies on this and runs no elimination.
 The helpers mat_add, mat_sub, mat_mul, mat_scale, mat_eq, is_zero_matrix,
-commutator, det_bareiss and det_cofactor work over any commutative ring
-whose elements support + - * and ==, and whose truth value is false
-exactly for zero: Fraction, MultiPoly (polynomials and, with the Laurent
-flag, Laurent polynomials in any number of variables) and QuotientNum
-(quotient rings Q[t]/(g), cyclotomic ones included).
-det_bareiss divides exactly with the elements' exact_div, so it needs an
-integral domain (MultiPoly); det_cofactor, exponential, is kept only as an
-independent oracle for it.
+commutator, det_bareiss, adjugate and det_cofactor work over any
+commutative ring whose elements support + - * and ==, and whose truth value
+is false exactly for zero: Fraction, MultiPoly (polynomials and, with the
+Laurent flag, Laurent polynomials in any number of variables) and
+QuotientNum (quotient rings Q[t]/(g), cyclotomic ones included).
+det_bareiss, and adjugate through it, divide exactly with the elements'
+exact_div, so they need an integral domain (MultiPoly); det_cofactor,
+exponential, is kept only as an independent oracle for det_bareiss.
 
 coefficient_rows is the one place where a polynomial linear system becomes
 rational rows: for a matrix of MultiPoly entries and an unknown vector s
 whose component s_c ranges over the monomials of a window (a list of
 exponent vectors), each coefficient of (entries * s)_i is a linear form in
 the unknown coefficients.  The section counts of the rank oracle and of the
-football split and the Saito structure constants all read their systems
-off these rows.
+football split read their systems off these rows.
 """
 from __future__ import annotations
 
@@ -93,10 +92,6 @@ def is_zero_matrix(a: QMatrix) -> bool:
 
 def commutator(a: QMatrix, b: QMatrix) -> QMatrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def transpose(a: QMatrix) -> QMatrix:
-    return [list(col) for col in zip(*a)]
 
 
 def _integer_rows(a) -> list:
@@ -352,3 +347,19 @@ def det_bareiss(m):
         prev = a[k][k]
     result = a[n - 1][n - 1]
     return result if sign == 1 else -result
+
+
+def adjugate(m):
+    """The adjugate adj(m), with m adj(m) = adj(m) m = det(m) I: entry (j, i)
+    is (-1)^(i+j) times the Bareiss determinant of m without row i and
+    column j."""
+    n = len(m)
+    if n == 1:
+        return [[m[0][0] ** 0]]         # the ring's one
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            cof = det_bareiss([[m[r][c] for c in range(n) if c != j]
+                               for r in range(n) if r != i])
+            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
+    return adj

@@ -8,12 +8,19 @@ certifies that on one line mod a prime and falls back to the exact
 squarefree part only when the line cannot decide, so "not reduced" is
 always exact.  Negative verdicts are returned as values with a witness,
 never raised.
+
+Flatness has one path, ``flatness_check``: `flat-check` and every flatness
+test of ``extend`` (both charts, the glued connection, the planted corpus
+connections) run it, on polynomial or two-variable Laurent matrices alike.
+Its structure constants come from Cramer's rule on the Saito matrix M:
+[delta_i, delta_j] adj(M) is divided exactly by det M, and fields that are
+dependent or do not close under the bracket raise NotASaitoSystemError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations
 from typing import Optional
 
 from .multipoly import MultiPoly, is_reduced, normalize
@@ -149,65 +156,34 @@ def nonlogarithmic_field(f: MultiPoly, fields) -> Optional[int]:
 # -- structure constants and flatness -----------------------------------
 
 class NotASaitoSystemError(ValueError):
-    """The candidate fields do not close under the Lie bracket."""
-
-
-def _monomials(variables, bound: int):
-    nv = len(variables)
-    out = []
-    for d in range(bound + 1):
-        for combo in combinations_with_replacement(range(nv), d):
-            e = [0] * nv
-            for i in combo:
-                e[i] += 1
-            out.append(tuple(e))
-    return out
-
-
-def _solve_in_field_span(fields, target: VectorField, bound: int):
-    """Polynomial coefficients c_k (degree <= bound) with
-    sum_k c_k * delta_k = target, or None."""
-    vs = target.vars
-    monos = _monomials(vs, bound)
-    # unknowns: the coefficients of each c_k at monos; equations: the
-    # coefficient of each monomial of each ambient component
-    rows, ncols = qm.coefficient_rows(
-        qm.transpose([fld.coefficients for fld in fields]), [monos] * len(fields))
-    for i, coef in enumerate(target.coefficients):
-        for e in coef.terms:
-            rows.setdefault((i, e), [Fraction(0)] * ncols)
-    sol = qm.solve(list(rows.values()),
-                   [target.coefficients[i].coeff(*e) for i, e in rows])
-    if sol is None:
-        return None
-    n = len(monos)
-    return [MultiPoly(vs, dict(zip(monos, sol[k * n:(k + 1) * n])))
-            for k in range(len(fields))]
+    """The candidate fields are dependent, or do not close under the Lie
+    bracket."""
 
 
 def structure_constants(fields) -> dict:
-    """Polynomial c_ijk with [delta_i, delta_j] = sum_k c_ijk delta_k.
+    """Polynomial c_ijk with [delta_i, delta_j] = sum_k c_ijk delta_k, by
+    Cramer's rule: with M the Saito matrix (row k holds delta_k), the row
+    (c_ij1, ..., c_ijn) is [delta_i, delta_j] adj(M) / det M, each entry an
+    exact division.
 
-    Raises NotASaitoSystemError when a bracket leaves the span.
+    Raises NotASaitoSystemError when the fields are dependent (det M = 0)
+    or a bracket leaves their polynomial span (a division is not exact).
     """
     fields = tuple(fields)
+    m = [fld.coefficients for fld in fields]
+    d = det_bareiss(m)
+    if d.is_zero():
+        raise NotASaitoSystemError("the fields are dependent: "
+                                   "the saito determinant vanishes")
+    adj = qm.adjugate(m)
     out = {}
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            br = lie_bracket(fields[i], fields[j])
-            if br.is_zero():
-                out[(i, j)] = [MultiPoly.zero(br.vars)] * len(fields)
-                continue
-            bound = max(c.total_degree() for c in br.coefficients if not c.is_zero())
-            sol = None
-            for extra in (0, 1, 2):
-                sol = _solve_in_field_span(fields, br, bound + extra)
-                if sol is not None:
-                    break
-            if sol is None:
-                raise NotASaitoSystemError(
-                    f"bracket [delta_{i}, delta_{j}] is not in the span of the fields")
-            out[(i, j)] = sol
+    for i, j in combinations(range(len(fields)), 2):
+        (row,) = qm.mat_mul([lie_bracket(fields[i], fields[j]).coefficients], adj)
+        try:
+            out[(i, j)] = [c.exact_div(d) for c in row]
+        except ValueError:
+            raise NotASaitoSystemError(f"bracket [delta_{i}, delta_{j}] is not "
+                                       f"in the span of the fields") from None
     return out
 
 
@@ -238,6 +214,10 @@ class FlatnessResult:
 def flatness_check(conn: LogConnection) -> FlatnessResult:
     """Exact flatness in the chosen frame:
     sum_k c_ijk Omega_k = delta_i(Omega_j) - delta_j(Omega_i) + [Omega_i, Omega_j].
+
+    The Omega entries may be Laurent polynomials (a chart's matrices).
+    Raises NotASaitoSystemError when the fields are dependent or a bracket
+    leaves their span (see structure_constants).
     """
     fields = conn.system.fields
     cs = structure_constants(fields)

@@ -5,8 +5,14 @@ from math import gcd, lcm
 from operator import add, sub
 
 from logflat import matrices as qm
+from logflat.castling import minor_product_divisor, minor_product_variables
 from logflat.filtrations import Filtration
 from logflat.multipoly import MultiPoly, squarefree_part
+from logflat.saito import SaitoSystem, VectorField, lie_bracket
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def fraction_rref(a):
@@ -216,6 +222,79 @@ def fraction_gcd(f, g, nvars):
     return fraction_normalize(fraction_poly_mul(prim, cont))
 
 
+# -- structure constants by a degree-window solve ---------------------------
+
+def _monomials(nvars, bound):
+    """Exponent vectors of total degree <= bound."""
+    out = []
+    for d in range(bound + 1):
+        for combo in itertools.combinations_with_replacement(range(nvars), d):
+            e = [0] * nvars
+            for i in combo:
+                e[i] += 1
+            out.append(tuple(e))
+    return out
+
+
+def _solve_in_field_span(fields, target, bound):
+    """Polynomial c_k of degree <= bound with sum_k c_k delta_k = target, as
+    one rational linear solve on their coefficients, or None."""
+    vs = target.vars
+    monos = _monomials(len(vs), bound)
+    rows, ncols = qm.coefficient_rows(
+        transpose([fld.coefficients for fld in fields]), [monos] * len(fields))
+    for i, coef in enumerate(target.coefficients):
+        for e in coef.terms:
+            rows.setdefault((i, e), [Fraction(0)] * ncols)
+    sol = qm.solve(list(rows.values()),
+                   [target.coefficients[i].coeff(*e) for i, e in rows])
+    if sol is None:
+        return None
+    n = len(monos)
+    return [MultiPoly(vs, dict(zip(monos, sol[k * n:(k + 1) * n])))
+            for k in range(len(fields))]
+
+
+def window_structure_constants(fields):
+    """c_ijk with [delta_i, delta_j] = sum_k c_ijk delta_k, solved in the
+    degree windows deg [delta_i, delta_j] + 0, 1, 2; None when a bracket has
+    no solution there.  The independent oracle for saito's Cramer's rule;
+    it does not notice dependent fields."""
+    fields = tuple(fields)
+    out = {}
+    for i, j in itertools.combinations(range(len(fields)), 2):
+        br = lie_bracket(fields[i], fields[j])
+        if br.is_zero():
+            out[(i, j)] = [MultiPoly.zero(br.vars)] * len(fields)
+            continue
+        bound = max(c.total_degree() for c in br.coefficients)
+        for extra in (0, 1, 2):
+            sol = _solve_in_field_span(fields, br, bound + extra)
+            if sol is not None:
+                break
+        else:
+            return None
+        out[(i, j)] = sol
+    return out
+
+
+def sextic_system():
+    """The minor-product sextic (n = 3) with the six linear fields of
+    (C*)^3 x SL(2): three torus rows, then e12, e21 and h."""
+    vs = minor_product_variables(3)
+    v = lambda s: MultiPoly.var(vs, s)
+    zero = MultiPoly.zero(vs)
+    def field(coeffs):
+        return VectorField(tuple(coeffs.get(name, zero) for name in vs))
+    fields = [field({f"{r}1": v(f"{r}1"), f"{r}2": v(f"{r}2")})
+              for r in "uvw"]                                    # torus rows
+    fields.append(field({f"{r}2": v(f"{r}1") for r in "uvw"}))   # e12
+    fields.append(field({f"{r}1": v(f"{r}2") for r in "uvw"}))   # e21
+    fields.append(field({f"{r}1": v(f"{r}1") for r in "uvw"}
+                        | {f"{r}2": -v(f"{r}2") for r in "uvw"}))  # h
+    return SaitoSystem(tuple(fields), minor_product_divisor(3))
+
+
 def random_filtration(rng, dim, max_steps=3, index_range=(-2, 4)):
     """A random bounded decreasing filtration: prefix spans of a random
     full-rank basis at strictly increasing indices."""
@@ -279,8 +358,8 @@ def is_polynomial_in(s, m):
     powers = [qm.identity(n)]
     for _ in range(n * n - 1):
         powers.append(qm.mat_mul(powers[-1], m))
-    system = qm.transpose([[p[i][j] for i in range(n) for j in range(n)]
-                           for p in powers])
+    system = transpose([[p[i][j] for i in range(n) for j in range(n)]
+                        for p in powers])
     target = [s[i][j] for i in range(n) for j in range(n)]
     return qm.solve(system, target) is not None
 
@@ -296,7 +375,7 @@ def minpoly(a, var="t"):
         powers.append(qm.mat_mul(powers[-1], a))
     flat = [[p[i][j] for i in range(n) for j in range(n)] for p in powers]
     for k in range(1, n + 1):
-        sol = qm.solve(qm.transpose(flat[:k]), flat[k])
+        sol = qm.solve(transpose(flat[:k]), flat[k])
         if sol is not None:
             terms = {(k,): Fraction(1)}
             for i, c in enumerate(sol):

@@ -7,12 +7,11 @@ from fractions import Fraction
 
 from _oracles import (exhaustive_adapted_basis, grid_candidates,
                       is_polynomial_in, is_unipotent, minpoly, random_filtration,
-                      sl2_adjoint, sl2_fundamental)
+                      sextic_system, sl2_adjoint, sl2_fundamental)
 from logflat import matrices as qm
 from logflat.birkhoff import birkhoff_factorize, splitting_type_rank_oracle
 from logflat.castling import (PrehomDescriptor, castling_chain,
                               castling_transform, gen_nonextendable,
-                              minor_product_divisor, minor_product_variables,
                               morita_rescale, pullback_residue,
                               residual_sl_trivial)
 from logflat.cyclotomic import QuotientNum, cmat_from_rational, cyclotomic_upoly
@@ -36,24 +35,9 @@ def report(capsys, num, name, ok, extra=""):
 
 # 1. Freeness of the minor-product sextic under (C*)^3 x SL(2) ----------------
 
-def _sextic_system():
-    vs = minor_product_variables(3)
-    v = lambda s: MultiPoly.var(vs, s)
-    zero = MultiPoly.zero(vs)
-    def field(coeffs):
-        return VectorField(tuple(coeffs.get(name, zero) for name in vs))
-    fields = [field({f"{r}1": v(f"{r}1"), f"{r}2": v(f"{r}2")})
-              for r in "uvw"]                                    # torus rows
-    fields.append(field({f"{r}2": v(f"{r}1") for r in "uvw"}))   # e12
-    fields.append(field({f"{r}1": v(f"{r}2") for r in "uvw"}))   # e21
-    fields.append(field({f"{r}1": v(f"{r}1") for r in "uvw"}
-                        | {f"{r}2": -v(f"{r}2") for r in "uvw"}))  # h
-    return SaitoSystem(tuple(fields), minor_product_divisor(3))
-
-
 def test_criterion_01_sextic_freeness(capsys):
     t0 = time.time()
-    system = _sextic_system()
+    system = sextic_system()
     verdict = saito_check(system)
     m = system.saito_matrix()
     oracle_ok = qm.det_cofactor(m) == qm.det_bareiss(m)

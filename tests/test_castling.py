@@ -1,5 +1,6 @@
 """Castling transforms, minor-product divisors, weight rescaling, and the
 residual special-linear criterion."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,32 @@ def test_sl_basis_brackets_selfconsistent():
     for k in (2, 3):
         basis = sl_basis(k)
         check_sl_relations(k, [m for _, m in basis])
+
+
+def test_sl_coordinates_rebuild_seeded_traceless_matrices():
+    rng = random.Random(17)
+    for k in (2, 3, 4, 5):
+        basis = sl_basis(k)
+        for _ in range(10):
+            x = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k)]
+                 for _ in range(k)]
+            x[k - 1][k - 1] -= sum(x[i][i] for i in range(k))
+            coords = castling._sl_coordinates(x)
+            assert len(coords) == len(basis)
+            rebuilt = qm.zeros(k)
+            for c, (_, b) in zip(coords, basis):
+                rebuilt = qm.mat_add(rebuilt, qm.mat_scale(b, c))
+            assert qm.mat_eq(rebuilt, x)
+
+
+def test_check_sl_relations_runs_no_linear_solve(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("check_sl_relations ran a linear solve")
+
+    monkeypatch.setattr(qm, "solve", refuse)
+    for k in (2, 3, 4):
+        check_sl_relations(k, [m for _, m in sl_basis(k)])
+    check_sl_relations(2, sl2_adjoint())
 
 
 def test_check_sl_relations_rejects_scaled_generator():

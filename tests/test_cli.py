@@ -5,11 +5,11 @@ import signal
 
 import pytest
 
-from logflat import cli, jordan
+from logflat import birkhoff, cli, extend, jordan, laurent
 from logflat import matrices as qm
 from logflat import serialize as ser
 from logflat.cli import main
-from logflat.extend import generate_connection_corpus
+from logflat.extend import frame_fields, generate_connection_corpus
 from logflat.filtrations import AdaptedBasis
 from logflat.multipoly import MultiPoly
 from logflat.saito import SaitoSystem, VectorField
@@ -193,6 +193,8 @@ MALFORMED_FIELDS = [
     ("extend", EXTEND, ["p"], 0),
     ("extend", EXTEND, ["divisor"], [{"c": "1", "e": [2, 0]}, {"c": "1", "e": [0, 1]}]),
     ("extend", EXTEND, ["omegaX", 0, 0, 0], [{"c": "1", "e": [1, 0]}]),
+    # a constant divisor is no curve: its Hamiltonian field vanishes
+    ("extend", EXTEND, ["divisor"], [{"c": "1", "e": [0, 0]}]),
 ]
 BAD_FIELDS = NON_INTEGER_FIELDS + MALFORMED_FIELDS
 
@@ -208,19 +210,33 @@ def test_non_integer_fields_exit_two(capsys, cmd, doc, path, value):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("path, value, message", [
-    (["divisor"], [], "divisor must be a nonzero polynomial"),
-    (["divisor"], [{"c": "1", "e": [3, 0]}], "divisor equation is not reduced"),
-    (["fields", 0, 0], [{"c": "1", "e": [0, 0]}],
+X_ONLY = [{"c": "1", "e": [1, 0]}]     # f = x
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(["divisor"], [])], "divisor must be a nonzero polynomial"),
+    ([(["divisor"], [{"c": "1", "e": [3, 0]}])], "divisor equation is not reduced"),
+    ([(["fields", 0, 0], [{"c": "1", "e": [0, 0]}])],
      "field 0 is not logarithmic: f does not divide delta_0(f)"),
-], ids=["zero", "cube", "not-logarithmic"])
-def test_flat_check_reads_the_divisor(capsys, path, value, message):
+    # x d/dx and 2x d/dx: their bracket vanishes, but they are dependent
+    ([(["divisor"], X_ONLY), (["fields", 1], [[{"c": "2", "e": [1, 0]}], []])],
+     "the fields are dependent: the saito determinant vanishes"),
+    # x d/dx and (y^3 + x) d/dy: the bracket x d/dy is not in their span
+    ([(["divisor"], X_ONLY),
+      (["fields", 1], [[], [{"c": "1", "e": [0, 3]}, {"c": "1", "e": [1, 0]}]])],
+     "bracket [delta_0, delta_1] is not in the span of the fields"),
+], ids=["zero", "cube", "not-logarithmic", "dependent-fields", "bracket-leaves-span"])
+def test_flat_check_reads_the_divisor(capsys, edits, message):
     """flat-check certifies a connection against a free divisor, so a zero or
-    non-reduced equation, or a field that is not logarithmic for it, is
-    malformed input: the flat Omega = 0 does not make the document valid."""
+    non-reduced equation, a field that is not logarithmic for it, or fields
+    that are dependent or do not close under the bracket, are malformed
+    input: the flat Omega = 0 does not make the document valid."""
     code, out, _ = run(capsys, "flat-check", json.dumps(FLAT), "--json")
     assert (code, json.loads(out)["verdict"]) == (0, "flat")
-    code, out, err = run(capsys, "flat-check", json.dumps(_with(FLAT, path, value)), "--json")
+    doc = FLAT
+    for path, value in edits:
+        doc = _with(doc, path, value)
+    code, out, err = run(capsys, "flat-check", json.dumps(doc), "--json")
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -335,6 +351,37 @@ def test_extend_roundtrip(capsys):
     code, out, err = run(capsys, "extend", json.dumps(doc_bad), "--json")
     assert (code, out) == (2, "")
     assert err.startswith("error: charts are incompatible")
+
+
+def test_extend_and_flat_check_solve_nothing(capsys, monkeypatch):
+    """Gauges are checked by multiplication and structure constants come
+    from Cramer's rule: a rank-2 extend document inverts at most two Laurent
+    matrices and solves no linear system, and neither does flat-check on
+    the connection it glued."""
+    data = generate_connection_corpus("cusp", 1, seed=0)[0]
+    assert data.rank == 2
+    calls = {"solve": 0, "lmat_inverse": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(qm, "solve", counting("solve", qm.solve))
+    inverse = counting("lmat_inverse", laurent.lmat_inverse)
+    for module in (laurent, extend, birkhoff):
+        monkeypatch.setattr(module, "lmat_inverse", inverse)
+    code, out, _ = run(capsys, "extend", json.dumps(ser.connection_data_to_json(data)),
+                       "--json")
+    assert code == 0
+    assert calls["solve"] == 0 and 1 <= calls["lmat_inverse"] <= 2
+    system = SaitoSystem(frame_fields(data.divisor, data.p, data.q), data.divisor)
+    doc = dict(saito_system_to_json(system), omegas=json.loads(out)["witness"]["omegas"])
+    calls["solve"] = 0
+    code, out, _ = run(capsys, "flat-check", json.dumps(doc), "--json")
+    assert (code, json.loads(out)["verdict"]) == (0, "flat")
+    assert calls["solve"] == 0
 
 
 def constant_extend_doc(omega_e):

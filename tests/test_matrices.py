@@ -37,7 +37,13 @@ def test_det_bareiss_matches_cofactor():
     for n in (1, 2, 3, 4):
         for _ in range(5):
             m = rand_pmat(rng, n)
-            assert qm.det_bareiss(m) == qm.det_cofactor(m)
+            d = qm.det_bareiss(m)
+            assert d == qm.det_cofactor(m)
+            # the adjugate, from Bareiss minors: m adj(m) = adj(m) m = det(m) I
+            adj = qm.adjugate(m)
+            det_i = [[d if i == j else d * 0 for j in range(n)] for i in range(n)]
+            assert qm.mat_eq(qm.mat_mul(m, adj), det_i)
+            assert qm.mat_eq(qm.mat_mul(adj, m), det_i)
 
 
 def test_charpoly_constant_term_is_signed_determinant():

@@ -26,6 +26,8 @@ ENTRY_POINTS = {
     "castling.pullback_residue": "checked by acceptance criterion 10",
     "matrices.mat_inv": "the benchmark tracer wraps it by name; it goes with "
                         "the other tracer-only names (ROADMAP item 13)",
+    "matrices.solve": "the benchmark tracer wraps it by name, and the test "
+                      "oracles use it",
 }
 
 MODULE = "<import time>"

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import sextic_system, window_structure_constants
 from logflat import matrices as qm
 from logflat import multipoly, saito
+from logflat.extend import DIVISORS, frame_fields
 from logflat.multipoly import MultiPoly
 from logflat.saito import (LogConnection, NotASaitoSystemError, SaitoSystem,
                            VectorField, euler_check, euler_field,
@@ -232,3 +234,47 @@ def test_euler_field_applies_grading():
     e = euler_field(XY, (3, 2))
     cusp = v2("x") ** 2 - v2("y") ** 3
     assert e.apply(cusp) == 6 * cusp
+
+
+def test_structure_constants_reject_dependent_fields():
+    # the bracket of x d/dx and 2x d/dx vanishes, yet they are no basis
+    x = v2("x")
+    z = MultiPoly.zero(XY)
+    with pytest.raises(NotASaitoSystemError, match="dependent"):
+        structure_constants((field2(x, z), field2(x * 2, z)))
+
+
+def _unimodular_change(rng, fields):
+    """The fields U delta for a seeded unimodular polynomial matrix U: a
+    product of elementary matrices whose off-diagonal entry has degree <= 1."""
+    fields = list(fields)
+    vs = fields[0].vars
+    for _ in range(3):
+        i, j = rng.sample(range(len(fields)), 2)
+        a = MultiPoly.constant(vs, rng.randint(-2, 2))
+        for v in vs:
+            a = a + MultiPoly.var(vs, v) * rng.randint(-2, 2)
+        fields[i] = VectorField(tuple(ci + a * cj for ci, cj in
+                                      zip(fields[i].coefficients, fields[j].coefficients)))
+    return tuple(fields)
+
+
+def test_cramer_constants_match_the_window_solve():
+    """Cramer's rule against the degree-window solve it replaced, exactly: on
+    the extend frames, the coordinate cross, the six minor-product fields,
+    and seeded unimodular changes of basis of the plane frames."""
+    x, y = v2("x"), v2("y")
+    z = MultiPoly.zero(XY)
+    planes = {"coordinate cross": (field2(x, z), field2(z, y))}
+    for name, (p, q, terms) in DIVISORS.items():
+        planes[f"{name} frame"] = frame_fields(MultiPoly(XY, terms), p, q)
+    cases = dict(planes)
+    cases["minor-product fields, n = 3"] = sextic_system().fields
+    rng = random.Random(28)
+    for name, fields in planes.items():
+        for k in range(4):
+            cases[f"{name}, change {k}"] = _unimodular_change(rng, fields)
+    for name, fields in cases.items():
+        expected = window_structure_constants(fields)
+        assert expected is not None, name
+        assert structure_constants(fields) == expected, name
