@@ -28,13 +28,3 @@ def bmat_from_laurent(m: list, zx: int, zy: int) -> list:
 def bmat_mul(a: list, b: list) -> list:
     return qm.mat_mul(a, b)
 
-
-def bmat_diag_monomial(exponents, var: str) -> list:
-    """diag(var^e) for a list of integer exponents."""
-    if var not in VARS:
-        raise ValueError("variable must be x or y")
-    n = len(exponents)
-    out = [[MultiPoly(VARS, laurent=True) for _ in range(n)] for _ in range(n)]
-    for k, e in enumerate(exponents):
-        out[k][k] = MultiPoly(VARS, {(e, 0) if var == "x" else (0, e): 1}, laurent=True)
-    return out

@@ -280,6 +280,16 @@ def _h0_equivariant(et: EquivariantTransition, j: int, spread: int) -> int:
                             if lowers[i] is None or e < lowers[i]])
 
 
+def deconvolution_bound(et: EquivariantTransition) -> int:
+    """The first class range [-bound, bound] football_split searches:
+    max |a_i| + max |b_j| + (p + q)(spread(tau) + 2).  Its cost is linear
+    in the bound."""
+    tau_spread = max(abs(x.min_exp()) + abs(x.max_exp())
+                     for row in et.tau.matrix for x in row if not x.is_zero())
+    return (max(map(abs, et.a), default=0) + max(map(abs, et.b), default=0)
+            + (et.p + et.q) * (tau_spread + 2))
+
+
 def football_split(et: EquivariantTransition) -> list:
     """Classes k_i of the equivariant line-bundle summands, descending.
 
@@ -289,10 +299,7 @@ def football_split(et: EquivariantTransition) -> list:
     """
     m = et.rank
     p, q = et.p, et.q
-    tau_spread = max(abs(x.min_exp()) + abs(x.max_exp())
-                     for row in et.tau.matrix for x in row if not x.is_zero())
-    bound = (max(map(abs, et.a), default=0) + max(map(abs, et.b), default=0)
-             + (p + q) * (tau_spread + 2))
+    bound = deconvolution_bound(et)
     inv_spread = max(abs(x.min_exp()) + abs(x.max_exp())
                      for row in lmat_inverse(et.tau.matrix) for x in row
                      if not x.is_zero())

@@ -102,8 +102,6 @@ def minor_product_divisor(n: int) -> MultiPoly:
 def morita_rescale(r: int, n: int, w) -> Fraction:
     """The weight rescaling w -> (r / (r - n)) w carried by the castling
     equivalence."""
-    if r == n:
-        raise ValueError("r must differ from n")
     if not 1 <= r < n:
         raise ValueError("need 1 <= r < n")
     return Fraction(r, r - n) * Fraction(w)

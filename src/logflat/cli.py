@@ -21,6 +21,10 @@ line precedes it.
 it always re-verifies its adapted basis.  castle --chain N exits 2 unless
 0 <= N and 2^N * bits(n) <= CHAIN_BUDGET_BITS = 8192, a bound on the bits of
 the last dimension, since each step at most squares the dimension.
+football-split exits 2 when its first deconvolution bound, max |a_i| +
+max |b_j| + (p + q)(spread(tau) + 2), exceeds DECONVOLUTION_BUDGET = 1024;
+saito-check and flat-check exit 2 when a polynomial's total degree exceeds
+serialize.DEGREE_BUDGET = 256.
 """
 from __future__ import annotations
 
@@ -31,7 +35,8 @@ import sys
 
 from . import serialize as ser
 from .birkhoff import (EquivariantTransition, birkhoff_factorize,
-                       football_split, splitting_type_rank_oracle)
+                       deconvolution_bound, football_split,
+                       splitting_type_rank_oracle)
 from .castling import (castling_chain, castling_transform, gen_nonextendable,
                        minor_product_divisor, minor_product_variables,
                        morita_rescale)
@@ -52,6 +57,7 @@ NEGATIVE_VERDICTS = frozenset(
     {"not-free", "not-flat", "not-splittable", "non-extendable"})
 
 CHAIN_BUDGET_BITS = 8192    # keeps every chain dimension under 2,500 digits
+DECONVOLUTION_BUDGET = 1024    # football-split's first class bound
 
 
 def _load(source: str):
@@ -158,6 +164,10 @@ def _cmd_football_split(args, doc):
                                    ser.lmat_from_json(doc["transition"]))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+    bound = deconvolution_bound(et)
+    if bound > DECONVOLUTION_BUDGET:
+        raise FormatError(f"the deconvolution bound {bound} exceeds the budget "
+                          f"{DECONVOLUTION_BUDGET}")
     classes = football_split(et)
     return ("split", {"classes": [ser.frac_to_json(c) for c in classes]},
             f"orbifold splitting classes {[str(c) for c in classes]}")

@@ -10,8 +10,8 @@ always exact.  Negative verdicts are returned as values with a witness,
 never raised.
 
 Flatness has one path, ``flatness_check``: `flat-check` and every flatness
-test of ``extend`` (both charts, the glued connection, the planted corpus
-connections) run it, on polynomial or two-variable Laurent matrices alike.
+test of ``extend`` (the glued connection, the planted corpus connections)
+run it, on polynomial or two-variable Laurent matrices alike.
 Its structure constants come from Cramer's rule on the Saito matrix M:
 [delta_i, delta_j] adj(M) is divided exactly by det M, and fields that are
 dependent or do not close under the bracket raise NotASaitoSystemError.

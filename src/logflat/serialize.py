@@ -23,6 +23,11 @@ from .saito import LogConnection, SaitoSystem, VectorField
 SCHEMA = 1
 TOOL_VERSION = __version__
 
+# Largest total degree of a saito-check or flat-check polynomial.  The
+# reducedness test's power table is quadratic in the largest exponent; the
+# E8 reflection arrangement has degree 120.
+DEGREE_BUDGET = 256
+
 
 class FormatError(ValueError):
     """The document does not match the expected schema."""
@@ -167,6 +172,11 @@ def saito_system_from_json(data) -> SaitoSystem:
             raise FormatError("field coefficient count must equal dimension")
         fields.append(VectorField(tuple(poly_from_json(variables, c)
                                         for c in coeffs)))
+    polys = [divisor, *(c for fld in fields for c in fld.coefficients)]
+    degree = max(poly.total_degree() for poly in polys)
+    if degree > DEGREE_BUDGET:
+        raise FormatError(f"a polynomial of total degree {degree} exceeds the "
+                          f"degree budget {DEGREE_BUDGET}")
     return SaitoSystem(tuple(fields), divisor)
 
 

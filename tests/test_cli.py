@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, certificate schema, JSON round trips,
 malformed-input handling."""
+import contextlib
 import json
 import signal
 
@@ -19,6 +20,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Raise TimeoutError in the body once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran over its {seconds}-second budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def last_json(stdout):
@@ -195,6 +211,10 @@ MALFORMED_FIELDS = [
     ("extend", EXTEND, ["omegaX", 0, 0, 0], [{"c": "1", "e": [1, 0]}]),
     # a constant divisor is no curve: its Hamiltonian field vanishes
     ("extend", EXTEND, ["divisor"], [{"c": "1", "e": [0, 0]}]),
+    # past the degree and deconvolution budgets: refused before any work
+    ("saito-check", SAITO, ["divisor"], [{"c": "1", "e": [10 ** 6, 1]}]),
+    ("flat-check", FLAT, ["divisor"], [{"c": "1", "e": [10 ** 6, 1]}]),
+    ("football-split", FOOTBALL, ["q"], 10 ** 6),
 ]
 BAD_FIELDS = NON_INTEGER_FIELDS + MALFORMED_FIELDS
 
@@ -205,7 +225,8 @@ BAD_FIELDS = NON_INTEGER_FIELDS + MALFORMED_FIELDS
 def test_non_integer_fields_exit_two(capsys, cmd, doc, path, value):
     code, _, _ = run(capsys, cmd, json.dumps(doc), "--json")
     assert code in (0, 1)
-    code, out, err = run(capsys, cmd, json.dumps(_with(doc, path, value)), "--json")
+    with within(1.0):
+        code, out, err = run(capsys, cmd, json.dumps(_with(doc, path, value)), "--json")
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
 
@@ -356,11 +377,11 @@ def test_extend_roundtrip(capsys):
 def test_extend_and_flat_check_solve_nothing(capsys, monkeypatch):
     """Gauges are checked by multiplication and structure constants come
     from Cramer's rule: a rank-2 extend document inverts at most two Laurent
-    matrices and solves no linear system, and neither does flat-check on
-    the connection it glued."""
+    matrices, solves no linear system and tests flatness once, on the glued
+    connection, and flat-check on that connection solves nothing either."""
     data = generate_connection_corpus("cusp", 1, seed=0)[0]
     assert data.rank == 2
-    calls = {"solve": 0, "lmat_inverse": 0}
+    calls = {"solve": 0, "lmat_inverse": 0, "flatness_check": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -372,10 +393,13 @@ def test_extend_and_flat_check_solve_nothing(capsys, monkeypatch):
     inverse = counting("lmat_inverse", laurent.lmat_inverse)
     for module in (laurent, extend, birkhoff):
         monkeypatch.setattr(module, "lmat_inverse", inverse)
+    monkeypatch.setattr(extend, "flatness_check",
+                        counting("flatness_check", extend.flatness_check))
     code, out, _ = run(capsys, "extend", json.dumps(ser.connection_data_to_json(data)),
                        "--json")
     assert code == 0
     assert calls["solve"] == 0 and 1 <= calls["lmat_inverse"] <= 2
+    assert calls["flatness_check"] == 1
     system = SaitoSystem(frame_fields(data.divisor, data.p, data.q), data.divisor)
     doc = dict(saito_system_to_json(system), omegas=json.loads(out)["witness"]["omegas"])
     calls["solve"] = 0
@@ -405,21 +429,25 @@ def constant_extend_doc(omega_e):
 def test_global_connection_extends(capsys, omega_e):
     """Whatever the residue's eigenvalues or the size of its entries, data
     that already are a global connection extend, within a second."""
-    def expire(signum, frame):
-        raise TimeoutError("extend ran over its one-second budget")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with within(1.0):
         code, out, _ = run(capsys, "extend", json.dumps(constant_extend_doc(omega_e)),
                            "--json")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 0
     cert = json.loads(out)
     assert cert["verdict"] == "extends"
     assert cert["witness"]["twistExponents"] == [0] * len(omega_e)
+
+
+def test_nonflat_chart_data_exit_two(capsys):
+    """Compatible chart data that are not flat: on f = x y, the constant
+    Omega_E = e12 and Omega_delta = e21 on both charts, identity transition.
+    They glue, and the one flatness check, on the glued connection, refuses
+    them as malformed input."""
+    doc = constant_extend_doc([[0, 1], [0, 0]])
+    e21 = [[[], []], [[{"c": "1", "e": [0, 0]}], []]]
+    doc = _with(_with(doc, ["omegaX", 1], e21), ["omegaY", 1], e21)
+    code, out, err = run(capsys, "extend", json.dumps(doc), "--json")
+    assert (code, out, err) == (2, "", "error: the chart connections are not flat\n")
 
 
 def test_castle_chain_and_transform(capsys):
