@@ -21,10 +21,9 @@ line precedes it.
 it always re-verifies its adapted basis.  castle --chain N exits 2 unless
 0 <= N and 2^N * bits(n) <= CHAIN_BUDGET_BITS = 8192, a bound on the bits of
 the last dimension, since each step at most squares the dimension.
-football-split exits 2 when its first deconvolution bound, max |a_i| +
-max |b_j| + (p + q)(spread(tau) + 2), exceeds DECONVOLUTION_BUDGET = 1024;
-saito-check and flat-check exit 2 when a polynomial's total degree exceeds
-serialize.DEGREE_BUDGET = 256.
+football-split exits 2 when birkhoff.deconvolution_bound exceeds
+DECONVOLUTION_BUDGET; saito-check and flat-check exit 2 when a
+polynomial's total degree exceeds serialize.DEGREE_BUDGET.
 """
 from __future__ import annotations
 

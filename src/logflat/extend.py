@@ -123,11 +123,12 @@ def extend_connection(data: ConnectionData) -> ExtendedConnection:
 
     Every flat logarithmic connection on the punctured plane extends
     (Mebkhout's theorem for weighted homogeneous curves), so ValueError
-    means only that the data do not present one: invalid geometry, a pole
-    off the chart's axis, charts incompatible across the transition, or a
-    non-flat chart.  The returned connection is verified exactly: it is
-    polynomial and flat, and it satisfies the x-chart gauge identity; the
-    y-chart identity holds by construction.  Flatness is checked once, on
+    means only that the data do not present one: invalid geometry, chart
+    matrices of the wrong number or size, a pole off the chart's axis,
+    charts incompatible across the transition, or a non-flat chart.  The
+    returned connection is verified exactly: it is polynomial and flat, and
+    it satisfies the x-chart gauge identity; the y-chart identity holds by
+    construction.  Flatness is checked once, on
     the glued connection: it is a gauge transform of each chart's, and a
     gauge conjugates the curvature.
     """
@@ -140,12 +141,10 @@ def extend_connection(data: ConnectionData) -> ExtendedConnection:
     fields = frame_fields(f, p, q)
     system = SaitoSystem(fields=fields, divisor=f)
     m = data.rank
-    for mat in data.omega_x:
-        if not all(entry.min_exp(1) >= 0 for row in mat for entry in row):
-            raise ValueError("x-chart matrix has a pole off x = 0")
-    for mat in data.omega_y:
-        if not all(entry.min_exp(0) >= 0 for row in mat for entry in row):
-            raise ValueError("y-chart matrix has a pole off y = 0")
+    for chart, other, omegas in (("x", 1, data.omega_x), ("y", 0, data.omega_y)):
+        LogConnection(system, omegas, m)    # one rank x rank matrix per frame field
+        if any(e.min_exp(other) < 0 for mat in omegas for row in mat for e in row):
+            raise ValueError(f"{chart}-chart matrix has a pole off {chart} = 0")
 
     # transition as a two-variable object: z = x^{-q/g} y^{p/g}
     g = int_gcd(p, q)

@@ -187,7 +187,10 @@ def log_connection_from_json(data) -> LogConnection:
                    for om in array_from_json(data["omegas"], "omegas"))
     if not omegas:
         raise FormatError("need at least one connection matrix")
-    return LogConnection(system, omegas, len(omegas[0]))
+    try:
+        return LogConnection(system, omegas, len(omegas[0]))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def filtrations_from_json(data) -> list:

@@ -211,6 +211,14 @@ MALFORMED_FIELDS = [
     ("extend", EXTEND, ["omegaX", 0, 0, 0], [{"c": "1", "e": [1, 0]}]),
     # a constant divisor is no curve: its Hamiltonian field vanishes
     ("extend", EXTEND, ["divisor"], [{"c": "1", "e": [0, 0]}]),
+    # one chart matrix per frame field (E, delta), each rank x rank (rank 1 here)
+    ("extend", EXTEND, ["omegaX"], EXTEND["omegaX"][:1]),
+    ("extend", EXTEND, ["omegaX"], EXTEND["omegaX"] + EXTEND["omegaX"][:1]),
+    ("extend", EXTEND, ["omegaX"], [[[[]] * 3] * 3] * 2),
+    ("extend", EXTEND, ["omegaY"], []),
+    # one Omega per field, all of one size
+    ("flat-check", FLAT, ["omegas"], [[[[]]]]),
+    ("flat-check", FLAT, ["omegas"], [[[[]]], [[[], []], [[], []]]]),
     # past the degree and deconvolution budgets: refused before any work
     ("saito-check", SAITO, ["divisor"], [{"c": "1", "e": [10 ** 6, 1]}]),
     ("flat-check", FLAT, ["divisor"], [{"c": "1", "e": [10 ** 6, 1]}]),
