@@ -27,7 +27,7 @@ jordan
     weights, the spectral central logarithm with verified projectors.
 filtrations
     Decreasing Z-filtrations, simultaneous splitting with adapted-basis
-    witnesses or NotSplittable certificates, toric extendability.
+    witnesses or NotSplittable certificates.
 laurent, bilaurent, birkhoff
     Matrices of Laurent polynomials in one and two variables, two-chart
     transitions, Laurent matrix inverses, Birkhoff factorization, splitting types on the projective line with a

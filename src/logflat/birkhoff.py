@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd as int_gcd
 
 from . import matrices as qm
-from .laurent import Transition, lmat_det, lmat_identity, lmat_inverse, lmat_mul
+from .laurent import Transition, lmat_identity, lmat_inverse, lmat_mul
 from .multipoly import MultiPoly
 
 
@@ -127,6 +127,15 @@ def birkhoff_factorize(t: Transition) -> BirkhoffFactors:
 
 
 def _verify_factorization(t: Transition, f: BirkhoffFactors):
+    """Check T = Pminus * D * Pplus by multiplication and one rational rank.
+
+    The reconstruction and sum(diag) = k give det Pminus * det Pplus = c,
+    the nonzero constant of det T = c*z^k.  So both determinants are units
+    of Q[z, 1/z]: det Pplus = a*z^j in Q[z] and det Pminus = (c/a)*z^-j in
+    Q[1/z], with j >= 0.  det Pplus(0), the determinant of the constant
+    coefficients of Pplus, is nonzero only if j = 0, and then both
+    determinants are constants: both factors are unimodular.
+    """
     pm, pp = f.pminus, f.pplus
     for row in pm:
         for p in row:
@@ -136,13 +145,12 @@ def _verify_factorization(t: Transition, f: BirkhoffFactors):
         for p in row:
             if not p.is_polynomial():
                 raise AssertionError("Pplus is not polynomial in z")
-    for mat in (pm, pp):
-        d = lmat_det(mat)
-        if not (len(d.terms) == 1 and d.min_exp() == 0):
-            raise AssertionError("unimodular factor has non-constant determinant")
     if sum(f.diag) != t.det_exp:
         raise AssertionError("diagonal exponents do not sum to the det exponent")
-    if not qm.mat_eq(lmat_mul(lmat_mul(pm, f.d_matrix(t.var)), pp), t.matrix):
+    if qm.rank([[p.coeff(0) for p in row] for row in pp]) != len(pp):
+        raise AssertionError("Pplus(0) is singular: the factors are not unimodular")
+    pm_d = [[p.shift(e) for p, e in zip(row, f.diag)] for row in pm]   # Pminus * D
+    if not qm.mat_eq(lmat_mul(pm_d, pp), t.matrix):
         raise AssertionError("reconstruction Pminus*D*Pplus != T failed")
 
 

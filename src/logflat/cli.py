@@ -40,7 +40,7 @@ from .castling import (castling_chain, castling_transform, gen_nonextendable,
                        minor_product_divisor, minor_product_variables,
                        morita_rescale)
 from .extend import extend_connection
-from .filtrations import toric_extendability
+from .filtrations import simultaneous_split
 from .jordan import NotQuasiUnipotent, jordan_chevalley, well_behaved_check
 from .matrices import det_cofactor
 from .multipoly import is_reduced
@@ -127,17 +127,14 @@ def _cmd_jc(args, doc):
 
 
 def _cmd_split_filtrations(args, doc):
-    filtrations = ser.filtrations_from_json(doc)
-    verdict = toric_extendability(filtrations)
-    if verdict.extends:
-        basis = verdict.witness     # simultaneous_split has verified it
-        witness = {"adaptedBasis": ser.qmat_to_json(basis.vectors),
-                   "depths": [list(d) for d in basis.depths]}
+    result = simultaneous_split(ser.filtrations_from_json(doc))
+    if result:      # an AdaptedBasis, which simultaneous_split has verified
+        witness = {"adaptedBasis": ser.qmat_to_json(result.vectors),
+                   "depths": [list(d) for d in result.depths]}
         return "splittable", witness, "simultaneously splittable; adapted basis found"
-    ns = verdict.witness
-    witness = {"multiIndex": list(ns.multi_index), "detail": ns.detail,
-               "dimensionTable": [list(r) for r in ns.dimension_table]}
-    return "not-splittable", witness, f"not splittable at multi-index {ns.multi_index}"
+    witness = {"multiIndex": list(result.multi_index), "detail": result.detail,
+               "dimensionTable": [list(r) for r in result.dimension_table]}
+    return "not-splittable", witness, f"not splittable at multi-index {result.multi_index}"
 
 
 def _cmd_birkhoff(args, doc):

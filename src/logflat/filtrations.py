@@ -1,19 +1,19 @@
-"""Tuples of decreasing Z-filtrations of a rational vector space: the
-simultaneous-splitting decision and toric extendability verdicts.
+"""Tuples of decreasing Z-filtrations of a rational vector space and the
+simultaneous-splitting decision.
 
 A filtration stores its strictly decreasing steps as canonical bases (see
 the matrices module); the full space sits below the smallest listed index,
 and above the largest the last listed step stands (the zero space only when
-it is listed as a step).  A counting bound plus one pass over the
-multi-graded intersections, deepest first, decides splittability and
-produces either an adapted basis or a certificate naming the first
+it is listed as a step).  The multi-graded intersections are built one
+filtration at a time, a counting bound by finite differences of their
+dimensions and one pass over them, deepest first, decide splittability and
+produce either an adapted basis or a certificate naming the first
 multi-index that cannot be filled; pairs always split.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import matrices as qm
 from .matrices import (QMatrix, in_row_space, intersect_row_spaces, rank,
@@ -144,15 +144,21 @@ def _avoiding_vector(space: QMatrix, forbidden: list, tries: int):
 
 
 def simultaneous_split(filtrations):
-    """AdaptedBasis adapted to every filtration, or a NotSplittable
-    certificate.
+    """AdaptedBasis adapted to every filtration, or a falsy NotSplittable
+    certificate.  The equivariant bundle that the tuple describes extends
+    over affine space iff the tuple splits (Klyachko, "Equivariant bundles
+    on toral varieties", Math. USSR Izv. 35, 1990).
 
-    Multi-indices are processed once each, in decreasing total degree; at
-    each one the deficit of basis vectors lying in the multi-intersection is
-    filled with vectors of exactly that depth profile from the deterministic
-    candidate stream.  The first cell that cannot be filled is the
-    certificate: no choice made earlier could have filled it (see the proof
-    in the body), so there is no backtracking.
+    The cells V_J are built one filtration at a time: V_{J+(j,)} is V_J at
+    the sentinel index and V_J meet F^j otherwise, the same canonical basis
+    as meeting all k steps at once.  dims[J] sums the exact counts over the
+    cells K >= J, so one finite difference along each axis, zero past the
+    last index, recovers them.  One pass then fills the cells once each,
+    deepest first, with vectors of V_J from the deterministic candidate
+    stream that avoid each filtration's next step: for a vector of V_J that
+    is the same test as avoiding the one-step-deeper cell.  The first cell
+    that cannot be filled is the certificate; no choice made earlier could
+    have filled it (see the proof in the body), so there is no backtracking.
     """
     filtrations = list(filtrations)
     if not filtrations:
@@ -161,24 +167,28 @@ def simultaneous_split(filtrations):
     if any(f.dim != dim for f in filtrations):
         raise ValueError("ambient dimension mismatch")
 
-    # the multi-graded intersections V_J
     grids = [f.critical_indices() for f in filtrations]
-    spaces = {J: intersect_row_spaces(*(f.subspace(j) for f, j in zip(filtrations, J)))
-              for J in product(*grids)}
+    following = [dict(zip(grid, grid[1:])) for grid in grids]   # next index
+    spaces = {(): qm.identity(dim)}
+    for f, grid in zip(filtrations, grids):
+        spaces = {J + (j,): space if j == grid[0]
+                  else intersect_row_spaces(space, f.subspace(j))
+                  for J, space in spaces.items() for j in grid}
     cells = sorted(spaces, key=lambda J: (-sum(J), J))
     dims = {J: len(space) for J, space in spaces.items()}
-    # counting bound: inclusion-exclusion counts must be non-negative
-    exact_counts = {}
-    for J in cells:
-        deeper = sum(exact_counts[K] for K in exact_counts
-                     if all(a >= b for a, b in zip(K, J)) and K != J)
-        exact_counts[J] = dims[J] - deeper
-        if exact_counts[J] < 0:
-            return NotSplittable(
-                multi_index=J,
-                detail="dimension counts of the multi-graded intersections "
-                       "are incompatible with any adapted basis",
-                dimension_table=tuple(sorted(dims.items())))
+    exact_counts = dims
+    for k, after in enumerate(following):
+        exact_counts = {J: n - (exact_counts[J[:k] + (after[J[k]],) + J[k + 1:]]
+                                if J[k] in after else 0)
+                        for J, n in exact_counts.items()}
+    # counting bound: the exact counts must be non-negative
+    negative = next((J for J in cells if exact_counts[J] < 0), None)
+    if negative is not None:
+        return NotSplittable(
+            multi_index=negative,
+            detail="dimension counts of the multi-graded intersections "
+                   "are incompatible with any adapted basis",
+            dimension_table=tuple(sorted(dims.items())))
 
     # One pass, deepest cells first.  Candidates for cell J lie in
     # V_J = spaces[J] and outside each one-step-deeper intersection, so their
@@ -198,11 +208,8 @@ def simultaneous_split(filtrations):
     chosen: list = []          # vectors
     profiles: list = []        # depth profiles, aligned with chosen
     for J in filter(exact_counts.get, cells):      # cells that need vectors
-        forbidden = []
-        for k in range(len(filtrations)):
-            higher = [j for j in grids[k] if j > J[k]]
-            if higher:
-                forbidden.append(spaces[J[:k] + (min(higher),) + J[k + 1:]])
+        forbidden = [f.subspace(after[j])
+                     for f, after, j in zip(filtrations, following, J) if j in after]
         for _ in range(exact_counts[J]):
             span = row_space(chosen)
             v = next(_avoiding_vector(spaces[J], forbidden + [span], tries=dim + 4), None)
@@ -221,19 +228,3 @@ def simultaneous_split(filtrations):
     if not basis.verify(filtrations):
         raise AssertionError("constructed basis failed re-verification")
     return basis
-
-
-@dataclass(frozen=True)
-class ExtendabilityVerdict:
-    extends: bool
-    witness: object   # AdaptedBasis or NotSplittable
-
-    def __bool__(self):
-        return self.extends
-
-
-def toric_extendability(filtrations) -> ExtendabilityVerdict:
-    """The equivariant bundle described by the filtration tuple extends over
-    affine space iff the tuple splits simultaneously."""
-    result = simultaneous_split(filtrations)
-    return ExtendabilityVerdict(not isinstance(result, NotSplittable), result)

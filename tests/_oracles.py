@@ -6,7 +6,8 @@ from operator import add, sub
 
 from logflat import matrices as qm
 from logflat.castling import minor_product_divisor, minor_product_variables
-from logflat.filtrations import Filtration
+from logflat.filtrations import (AdaptedBasis, Filtration, NotSplittable,
+                                 _avoiding_vector)
 from logflat.multipoly import MultiPoly, squarefree_part
 from logflat.saito import SaitoSystem, VectorField, lie_bracket
 
@@ -295,19 +296,63 @@ def sextic_system():
     return SaitoSystem(tuple(fields), minor_product_divisor(3))
 
 
-def random_filtration(rng, dim, max_steps=3, index_range=(-2, 4)):
+def random_filtration(rng, dim, max_steps=3, index_range=(-2, 4), basis=None):
     """A random bounded decreasing filtration: prefix spans of a random
-    full-rank basis at strictly increasing indices."""
-    while True:
-        basis = [[Fraction(rng.randrange(-3, 4)) for _ in range(dim)]
-                 for _ in range(dim)]
-        if qm.rank(basis) == dim:
-            break
+    full-rank basis, or of a shuffle of the given one, at strictly
+    increasing indices.  Filtrations on one given basis split together."""
+    if basis is not None:
+        basis = rng.sample(basis, dim)
+    while basis is None:
+        candidate = [[Fraction(rng.randrange(-3, 4)) for _ in range(dim)]
+                     for _ in range(dim)]
+        if qm.rank(candidate) == dim:
+            basis = candidate
     nsteps = rng.randrange(1, max_steps + 1)
     sizes = sorted(rng.sample(range(dim), min(nsteps, dim)), reverse=True)
     indices = sorted(rng.sample(range(*index_range), len(sizes)))
     raw = [(j, basis[:size]) for j, size in zip(indices, sizes)]
     return Filtration.make(dim, raw)
+
+
+def reference_split(filtrations):
+    """The certificate of filtrations.simultaneous_split, computed as before
+    the cells were built one filtration at a time: every cell intersects all
+    k steps at once, the exact counts come from inclusion-exclusion over all
+    deeper cells, quadratic in the number of cells, and the forbidden spaces
+    of a cell are its one-step-deeper cells."""
+    dim = filtrations[0].dim
+    grids = [f.critical_indices() for f in filtrations]
+    spaces = {J: qm.intersect_row_spaces(*(f.subspace(j) for f, j in zip(filtrations, J)))
+              for J in itertools.product(*grids)}
+    cells = sorted(spaces, key=lambda J: (-sum(J), J))
+    dims = {J: len(space) for J, space in spaces.items()}
+    table = tuple(sorted(dims.items()))
+    exact_counts = {}
+    for J in cells:
+        deeper = sum(exact_counts[K] for K in exact_counts
+                     if all(a >= b for a, b in zip(K, J)) and K != J)
+        exact_counts[J] = dims[J] - deeper
+        if exact_counts[J] < 0:
+            return NotSplittable(J, "dimension counts of the multi-graded intersections "
+                                    "are incompatible with any adapted basis", table)
+    chosen, profiles = [], []
+    for J in filter(exact_counts.get, cells):
+        forbidden = []
+        for k in range(len(filtrations)):
+            higher = [j for j in grids[k] if j > J[k]]
+            if higher:
+                forbidden.append(spaces[J[:k] + (min(higher),) + J[k + 1:]])
+        for _ in range(exact_counts[J]):
+            span = qm.row_space(chosen)
+            v = next(_avoiding_vector(spaces[J], forbidden + [span], tries=dim + 4), None)
+            if v is None:
+                return NotSplittable(J, "no vector of this depth profile is independent "
+                                        "of the vectors already chosen", table)
+            chosen.append(v)
+            profiles.append(J)
+    order = sorted(range(len(chosen)), key=lambda i: tuple(-d for d in profiles[i]))
+    return AdaptedBasis(vectors=tuple(tuple(chosen[i]) for i in order),
+                        depths=tuple(profiles[i] for i in order))
 
 
 def grid_candidates(dim, bound=1):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from logflat import matrices as qm
-from logflat.birkhoff import (EquivariantTransition, birkhoff_factorize,
+from logflat.birkhoff import (BirkhoffFactors, EquivariantTransition,
+                              _verify_factorization, birkhoff_factorize,
                               football_split, splitting_type_rank_oracle)
 from logflat.laurent import Transition, lmat_det, lmat_identity, lmat_inverse, lmat_mul
 from logflat.multipoly import MultiPoly
@@ -165,6 +166,16 @@ def test_sum_of_diag_exponents_is_det_exponent():
         t, _ = planted_instance(rng, 3, 2)
         fac = birkhoff_factorize(t)
         assert sum(fac.diag) == t.det_exp
+
+
+def test_verification_rejects_factors_that_are_not_unimodular():
+    """I = diag(1/z, 1) * I * diag(z, 1): the product and the exponent sum
+    hold, but det Pplus = z is no unit, which the singular Pplus(0) shows."""
+    factors = BirkhoffFactors(pminus=((mono(-1), zero()), (zero(), mono(0))),
+                              diag=(0, 0),
+                              pplus=((mono(1), zero()), (zero(), mono(0))))
+    with pytest.raises(AssertionError, match="unimodular"):
+        _verify_factorization(diag_transition(0, 0), factors)
 
 
 # -- orbifold splitting -------------------------------------------------------

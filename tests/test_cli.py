@@ -307,6 +307,20 @@ def test_split_filtrations_exit_codes(capsys):
     assert json.loads(out)["verdict"] == "splittable"
 
 
+def test_split_filtrations_of_4096_cells_within_a_second(capsys):
+    """Twelve one-step filtrations of Q^2 through distinct lines have 2^12
+    cells, in a 462-byte document; the counting bound refuses them."""
+    doc = json.dumps({"schema": 1, "dim": 2, "filtrations": [
+        [{"j": 1, "basis": [["1", str(i)]]}] for i in range(12)]})
+    assert len(doc) == 462
+    with within(1.0):
+        code, out, _ = run(capsys, "split-filtrations", doc, "--json")
+    witness = json.loads(out)["witness"]
+    assert (code, json.loads(out)["verdict"]) == (1, "not-splittable")
+    assert witness["multiIndex"] == [0] * 12
+    assert len(witness["dimensionTable"]) == 4096
+
+
 def test_jc_computes_one_characteristic_polynomial(capsys, monkeypatch):
     charpoly, weights = qm.charpoly, jordan.quasi_unipotent_weights
     chi_calls, weight_calls = [], []

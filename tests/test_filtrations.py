@@ -1,16 +1,18 @@
 """Decreasing filtrations: simultaneous splitting (pairs always split) with
 certificates, and the extendability criterion."""
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from _oracles import exhaustive_adapted_basis, grid_candidates, random_filtration
+from _oracles import (exhaustive_adapted_basis, grid_candidates, random_filtration,
+                      reference_split)
 from logflat import filtrations as filt
 from logflat import matrices as qm
 from logflat.filtrations import (AdaptedBasis, Filtration, NotSplittable,
-                                 simultaneous_split, toric_extendability)
+                                 simultaneous_split)
 
 
 def line(*v):
@@ -94,9 +96,6 @@ def test_three_distinct_lines_not_splittable():
     result = simultaneous_split(fs)
     assert isinstance(result, NotSplittable)
     assert not result
-    verdict = toric_extendability(fs)
-    assert not verdict.extends
-    assert isinstance(verdict.witness, NotSplittable)
 
 
 def test_two_lines_splittable():
@@ -159,6 +158,48 @@ def test_not_splittable_certificate_contents():
     assert len(cert.multi_index) == 3
     assert cert.detail
     assert cert.dimension_table
+
+
+# the triple of test_not_distributive_triple_fails_at_first_unfillable_cell,
+# which passes the counting bound but does not split
+NOT_DISTRIBUTIVE = ([[1, 0, 0, 0], [0, 1, 1, -1]],
+                    [[0, 1, 0, -1], [0, 0, 1, 0]],
+                    [[1, 0, -1, 0]])
+
+
+def random_invertible(rng, dim):
+    while True:
+        g = [[Fraction(rng.randrange(-2, 3)) for _ in range(dim)] for _ in range(dim)]
+        if qm.rank(g) == dim:
+            return g
+
+
+def test_certificates_match_the_reference_construction():
+    """Building the cells one filtration at a time and counting by finite
+    differences gives the certificates of the all-steps-per-cell
+    construction with quadratic inclusion-exclusion, on splittable tuples,
+    count failures and fill failures alike."""
+    rng = random.Random(33)
+    corpus = []
+    for _ in range(30):     # splittable: every filtration on one basis
+        dim = rng.randrange(2, 6)
+        basis = random_invertible(rng, dim)
+        corpus.append([random_filtration(rng, dim, basis=basis)
+                       for _ in range(rng.randrange(2, 5))])
+    for _ in range(60):     # one step each, spanned by rows with entries in {-1, 0, 1}
+        dim = rng.randrange(3, 5)
+        corpus.append([Filtration.make(dim, [(1, [[rng.randrange(-1, 2) for _ in range(dim)]
+                                                  for _ in range(rng.randrange(1, dim))])])
+                       for _ in range(rng.randrange(3, 5))])
+    for _ in range(6):      # fill failures: the non-distributive triple in other bases
+        g = random_invertible(rng, 4)
+        corpus.append([Filtration.make(4, [(1, qm.mat_mul(f, g))]) for f in NOT_DISTRIBUTIVE])
+    kinds = collections.Counter()
+    for fs in corpus:
+        result = simultaneous_split(fs)
+        assert result == reference_split(fs)
+        kinds["split" if result else "count" if "counts" in result.detail else "fill"] += 1
+    assert kinds["split"] >= 40 and kinds["count"] >= 20 and kinds["fill"] >= 6, kinds
 
 
 def test_not_distributive_triple_fails_at_first_unfillable_cell(monkeypatch):

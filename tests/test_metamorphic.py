@@ -10,8 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from logflat import filtrations as filt
 from logflat import jordan
 from logflat import matrices as qm
+from logflat.filtrations import Filtration
 
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 NONZERO = RATIONALS.filter(bool)
@@ -112,3 +114,69 @@ def test_jc_conjugation_catches_a_basis_dependent_shortcut(monkeypatch):
     monkeypatch.setattr(jordan, "jordan_chevalley", shortcut)
     with pytest.raises(AssertionError):
         check_jc_conjugation(block, p)
+
+
+@st.composite
+def filtrations_and_basis_change(draw):
+    """(filtrations, g): one to three filtrations of Q^dim, dim 2 to 4, each
+    with one or two steps spanned by prefixes of rows with entries in
+    {-1, 0, 1}, and an invertible g."""
+    dim = draw(st.integers(2, 4))
+    filtrations = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.lists(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim),
+                             min_size=1, max_size=dim - 1))
+        sizes = sorted(set(draw(st.lists(st.integers(1, len(rows)), min_size=1, max_size=2))),
+                       reverse=True)
+        filtrations.append(Filtration.make(dim, [(j, rows[:size]) for j, size in enumerate(sizes)]))
+    return filtrations, draw(invertible(dim))
+
+
+def check_split_basis_change(filtrations, g):
+    """Moving every step by the same g keeps the verdict, the depth profiles
+    of an adapted basis and the dimension table of a certificate."""
+    result = filt.simultaneous_split(filtrations)
+    moved = filt.simultaneous_split(
+        [Filtration.make(f.dim, [(j, qm.mat_mul(basis, g)) for j, basis in f.steps])
+         for f in filtrations])
+    assert bool(moved) == bool(result)
+    if result:
+        assert moved.depths == result.depths
+    else:
+        assert moved.dimension_table == result.dimension_table
+
+
+def split_basis_change_test(phases=tuple(Phase)):
+    """The hypothesis test of the split-filtrations relation."""
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None,
+              phases=phases)
+    @given(filtrations_and_basis_change())
+    def run(inputs):
+        check_split_basis_change(*inputs)
+    return run
+
+
+test_split_basis_change = split_basis_change_test()
+
+
+def shared_rows(a, b):
+    """The rows two canonical bases share: their intersection when both
+    spaces are spanned by coordinate vectors, and too small in general."""
+    rows_of_b = set(map(tuple, b))
+    return [row for row in a if tuple(row) in rows_of_b]
+
+
+def test_split_basis_change_catches_a_basis_dependent_intersection(monkeypatch):
+    """Intersecting by shared canonical rows is right on coordinate
+    subspaces, so the three coordinate planes of Q^3 still split; only the
+    basis change shows that the intersections are wrong."""
+    planes = [Filtration.make(3, [(1, [row for row in qm.identity(3) if row[i] == 0])])
+              for i in range(3)]
+    g = qm.qmat([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    check_split_basis_change(planes, g)
+    monkeypatch.setattr(filt, "intersect_row_spaces", shared_rows)
+    assert filt.simultaneous_split(planes)
+    with pytest.raises(AssertionError):
+        check_split_basis_change(planes, g)
+    with pytest.raises(AssertionError):
+        split_basis_change_test(phases=(Phase.generate,))()
