@@ -10,8 +10,9 @@ Modules
 multipoly, cyclotomic
     Exact polynomials: one sparse graded-lex class for polynomials and
     Laurent polynomials in any number of variables (univariate values
-    included) on integer numerators, primitive-PRS gcd over Z, heap-ordered
-    exact division, univariate division with remainder, cyclotomic factor
+    included) on integer numerators, a heuristic gcd over Z verified by
+    exact division (primitive PRS as the fallback), heap-ordered exact
+    division, univariate division with remainder, cyclotomic factor
     extraction and arithmetic in quotient rings Q[t]/(g).
 matrices
     The one matrix core: rational elimination, plus matrix arithmetic and

@@ -23,7 +23,10 @@ it always re-verifies its adapted basis.  castle --chain N exits 2 unless
 the last dimension, since each step at most squares the dimension.
 football-split exits 2 when birkhoff.deconvolution_bound exceeds
 DECONVOLUTION_BUDGET; saito-check and flat-check exit 2 when a
-polynomial's total degree exceeds serialize.DEGREE_BUDGET.
+polynomial's total degree exceeds serialize.DEGREE_BUDGET; split-filtrations
+exits 2, before any cell is built, when dim exceeds serialize.DIM_BUDGET or
+the cells, the product over the filtrations of (steps + 1), exceed
+serialize.CELL_BUDGET.
 """
 from __future__ import annotations
 

@@ -6,10 +6,9 @@ denominator, over a fixed tuple of variables, with a graded-lexicographic
 term order (variables in declaration order).  The pair is canonical: the
 denominator is the lcm of the reduced denominators of the coefficients, so
 it shares no factor with every numerator, and equal values have equal
-pairs.  Products, sums, derivatives, exact division, ``normalize`` and the
-primitive PRS of ``gcd`` all run on Python ints; Fractions appear only at
-the API edge (``terms``, ``coeff``, ``leading``, ``constant_value`` and
-``evaluate``).
+pairs.  Products, sums, derivatives, exact division, ``normalize`` and
+``gcd`` all run on Python ints; Fractions appear only at the API edge
+(``terms``, ``coeff``, ``leading``, ``constant_value`` and ``evaluate``).
 
 A value whose ``laurent`` flag is set lives in the Laurent ring
 Q[x_1^+-1, ..., x_n^+-1] and may have negative exponents; any other value
@@ -27,8 +26,22 @@ one-sided certificate (von zur Gathen-Gerhard, Modern Computer Algebra,
 ch. 14): f restricted to one fixed line a + t*b, reduced mod the prime
 2^31 - 1, that keeps degree deg f and is coprime to its derivative in
 F_p[t] proves f reduced.  Any other outcome is inconclusive, and the exact
-``squarefree_part`` (a primitive PRS over Z) decides instead, so a "not
-reduced" answer always comes from the exact computation.
+``squarefree_part`` decides instead, so a "not reduced" answer always comes
+from the exact computation.
+
+``gcd`` of polynomials in several variables is the heuristic gcd of Char,
+Geddes and Gonnet ("GCDHEU: heuristic polynomial GCD algorithm based on
+integer GCD computation", J. Symbolic Comput. 7, 1989; Geddes, Czapor and
+Labahn, Algorithms for Computer Algebra, 1992, ch. 7): the last variable is
+set to an integer xi, the images' gcd is found the same way down to integer
+gcds, and each level's candidate is rebuilt from the symmetric xi-adic
+digits.  A candidate is kept only if its primitive part divides both inputs
+exactly, at every level, and xi starts above the bound of the method's
+correctness theorem, so a kept candidate is the gcd: the heuristic is exact
+whenever it answers.  After six values of xi, or once xi^deg passes
+HEURISTIC_GCD_BITS bits, it gives up and a primitive polynomial remainder
+sequence over Z decides instead.  One variable is plain Euclid on primitive
+remainders.
 """
 from __future__ import annotations
 
@@ -512,9 +525,13 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Primitive greatest common divisor, normalized (integer coefficients,
     content 1, positive graded-lex leading coefficient).
 
-    Works on the integer numerators (the gcd over Q ignores scalars) with a
-    primitive polynomial remainder sequence: pseudo-remainders with content
-    extraction at each step, recursing on the variable list.
+    Works on the integer numerators (the gcd over Q ignores scalars).  One
+    variable: Euclid with each remainder made primitive.  Several: the
+    heuristic gcd (GCDHEU, see the module docstring), each level's
+    candidate verified by exact division of both inputs; when it gives up
+    (six values of xi, or xi^deg past HEURISTIC_GCD_BITS bits) the
+    primitive PRS of ``_prs_gcd`` decides.  Both give the same normalized
+    gcd.
     """
     if f.vars != g.vars:
         raise ValueError("variable mismatch")
@@ -533,6 +550,101 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             f, g = g, normalize(divmod(f, g)[1])
         return f
 
+    h = _heuristic_gcd(f.vars, f._num, g._num)
+    if h is not None:
+        return normalize(MultiPoly._clean(f.vars, h, 1, False))
+    return _prs_gcd(f, g)
+
+
+# Largest bit length of xi^deg (deg the larger degree in the evaluated
+# variable) at any level of the heuristic gcd.  It bounds every integer the
+# heuristic builds to about this many bits plus the input's own size; the
+# braid, Coxeter and sextic divisors of the benchmark stay under 2^12.
+HEURISTIC_GCD_BITS = 2**15
+HEURISTIC_GCD_TRIES = 6
+
+
+def _heuristic_start(a: dict, b: dict) -> int:
+    """The first evaluation point: 2 min(|a|_inf, |b|_inf) + 29."""
+    return 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+
+
+def _heuristic_gcd(variables, a: dict, b: dict) -> dict | None:
+    """gcd of the nonzero integer polynomials a and b (numerator maps over
+    `variables`), with its integer content and up to sign, or None when the
+    heuristic gives up.
+
+    The last variable is set to an integer xi larger than twice the
+    coefficients of a or of b, and the gcd gamma of the images (one variable
+    fewer; plain integers at the bottom) is found the same way.  G, the
+    polynomial whose coefficients in the last variable are gamma's
+    symmetric xi-adic digits, is the candidate.  Its primitive part P is
+    kept only if P divides a and b exactly; then P is their primitive gcd
+    (the correctness theorem of GCDHEU, which needs xi >= 2 min(|a|, |b|)
+    + 2), and P times the gcd of the integer contents is returned.  After a
+    failure xi grows by 73794/27011, at most HEURISTIC_GCD_TRIES times.
+    """
+    if not variables:
+        return {(): int_gcd(a[()], b[()])}
+    rest = variables[:-1]
+    deg = max(e[-1] for part in (a, b) for e in part)
+    xi = _heuristic_start(a, b)
+    for _ in range(HEURISTIC_GCD_TRIES):
+        if xi.bit_length() * deg > HEURISTIC_GCD_BITS:
+            return None
+        av, bv = _evaluate_last(a, xi, deg), _evaluate_last(b, xi, deg)
+        if av and bv:
+            gamma = _heuristic_gcd(rest, av, bv)
+            if gamma is None:      # an inner failure ends the heuristic
+                return None
+            cand = _symmetric_digits(gamma, xi)
+            content = int_gcd(*cand.values())
+            cand = {e: c // content for e, c in cand.items()}
+            p = MultiPoly._clean(variables, cand, 1, False)
+            if all(p.divides(MultiPoly._clean(variables, x, 1, False)) for x in (a, b)):
+                common = int_gcd(*a.values(), *b.values())
+                return cand if common == 1 else {e: c * common for e, c in cand.items()}
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _evaluate_last(a: dict, xi: int, deg: int) -> dict:
+    """The integer polynomial a with its last variable set to xi."""
+    powers = [1]
+    for _ in range(deg):
+        powers.append(powers[-1] * xi)
+    out: dict = {}
+    get = out.get
+    for e, c in a.items():
+        k = e[:-1]
+        out[k] = get(k, 0) + c * powers[e[-1]]
+    return {e: c for e, c in out.items() if c}
+
+
+def _symmetric_digits(gamma: dict, xi: int) -> dict:
+    """The polynomial sum_i g_i * x^i, x a new last variable, with
+    gamma = sum_i g_i * xi^i and every coefficient of each g_i in
+    (-xi/2, xi/2]."""
+    half = xi // 2
+    out: dict = {}
+    for e, c in gamma.items():
+        i = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[e + (i,)] = d
+            c = (c - d) // xi
+            i += 1
+    return out
+
+
+def _prs_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Normalized gcd of nonconstant polynomials in two or more variables by
+    a primitive polynomial remainder sequence: pseudo-remainders in the
+    first variable with content extraction at each step, recursing on the
+    trailing variables through ``gcd``."""
     rest = f.vars[1:]
     fu = _split_main(normalize(f))
     gu = _split_main(normalize(g))

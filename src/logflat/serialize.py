@@ -5,12 +5,21 @@ denominator is 1); a polynomial is an array of terms {"c": rational,
 "e": [exponents]}; a univariate Laurent polynomial uses a single integer
 exponent; a two-variable Laurent polynomial an exponent pair.  Matrices are
 row-major nested arrays.  Every top-level document carries "schema": 1.
+
+Polynomials are read and written on ints, with no Fraction per term: each
+coefficient becomes a (numerator, denominator) pair, by int() on a JSON
+integer or on the parts of "a" and "a/b" and by frac_from_json for any
+other string, so the same inputs are accepted and refused as by
+frac_from_json; the pairs are summed over the lcm of their denominators
+into MultiPoly's integer form.  The writer prints each int numerator over
+the value's denominator in lowest terms.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd as int_gcd, lcm
 
 from . import __version__
 from .castling import PrehomDescriptor
@@ -27,6 +36,14 @@ TOOL_VERSION = __version__
 # reducedness test's power table is quadratic in the largest exponent; the
 # E8 reflection arrangement has degree 120.
 DEGREE_BUDGET = 256
+
+# Largest ambient dimension and number of multi-graded cells, the product
+# over the filtrations of (steps + 1), of a split-filtrations document.
+# Both are checked before any cell is built: the cells grow exponentially
+# in the number of filtrations, and the cost of filling them steeply in the
+# dimension.  The benchmark's largest tuple has 81 cells at dim 6.
+DIM_BUDGET = 32
+CELL_BUDGET = 16384
 
 
 class FormatError(ValueError):
@@ -53,9 +70,17 @@ def frac_from_json(s) -> Fraction:
 
 # -- polynomials -----------------------------------------------------------
 
-def poly_to_json(p: MultiPoly) -> list:
-    return [{"c": frac_to_json(c), "e": list(e)}
-            for e, c in sorted(p.terms.items())]
+def poly_to_json(p: MultiPoly, scalar: bool = False) -> list:
+    """The terms of p in ascending exponent order, each coefficient written
+    from its int numerator over p's denominator as frac_to_json would;
+    `scalar` writes one-variable exponents as single integers."""
+    den = p._den
+    out = []
+    for e, c in sorted(p._num.items()):
+        g = int_gcd(c, den) if den != 1 else 1
+        out.append({"c": str(c // g) if g == den else f"{c // g}/{den // g}",
+                    "e": e[0] if scalar else list(e)})
+    return out
 
 
 def int_from_json(v, what: str) -> int:
@@ -77,34 +102,65 @@ def ints_from_json(v, what: str) -> list:
     return [int_from_json(x, what) for x in array_from_json(v, what)]
 
 
-def poly_from_json(variables, data, laurent: bool = False) -> MultiPoly:
+def _coefficient_from_json(c) -> tuple[int, int]:
+    """A rational coefficient as (numerator, positive denominator), not
+    necessarily in lowest terms.  JSON integers and the strings "a" and
+    "a/b" (b unsigned digits) are read with int(); anything else goes
+    through frac_from_json, so exactly the same inputs are accepted."""
+    if type(c) is int:
+        return c, 1
+    if type(c) is str:
+        num, slash, den = c.partition("/")
+        try:
+            if not slash:
+                return int(num), 1
+            if den.isdigit():
+                d = int(den)
+                if d:
+                    return int(num), d
+        except ValueError:
+            pass
+    q = frac_from_json(c)
+    return q.numerator, q.denominator
+
+
+def poly_from_json(variables, data, laurent: bool = False,
+                   scalar: bool = False) -> MultiPoly:
+    """A polynomial, or a Laurent polynomial when `laurent`, from an array of
+    terms; `scalar` reads one-variable Laurent terms with a single integer
+    exponent.  Repeated exponents add up.  The int numerators are brought
+    over the lcm of the denominators and handed to MultiPoly._reduce."""
     if not isinstance(data, list):
-        raise FormatError("polynomial must be an array of terms")
-    terms = {}
+        raise FormatError(f"{'Laurent polynomial' if scalar else 'polynomial'} "
+                          "must be an array of terms")
+    read = []
     for t in data:
-        if not isinstance(t, dict) or "c" not in t or not isinstance(t.get("e"), list):
-            raise FormatError(f"bad polynomial term {t!r}")
-        e = tuple(int_from_json(v, "exponent") for v in t["e"])
-        if len(e) != len(variables):
-            raise FormatError("exponent length does not match variable count")
-        terms[e] = terms.get(e, Fraction(0)) + frac_from_json(t["c"])
-    return MultiPoly(tuple(variables), terms, laurent)
+        if not isinstance(t, dict) or "c" not in t or (
+                "e" not in t if scalar else not isinstance(t.get("e"), list)):
+            raise FormatError(f"bad {'Laurent' if scalar else 'polynomial'} term {t!r}")
+        if scalar:
+            e = (int_from_json(t["e"], "exponent"),)
+        else:
+            e = tuple(int_from_json(v, "exponent") for v in t["e"])
+            if len(e) != len(variables):
+                raise FormatError("exponent length does not match variable count")
+        read.append((e, *_coefficient_from_json(t["c"])))
+    if not laurent and any(x < 0 for e, _, _ in read for x in e):
+        raise ValueError("negative exponent in MultiPoly")
+    den = lcm(*(d for _, _, d in read))
+    num: dict = {}
+    for e, n, d in read:
+        num[e] = num.get(e, 0) + n * (den // d)
+    return MultiPoly._reduce(tuple(variables), {e: c for e, c in num.items() if c},
+                             den, laurent)
 
 
 def laurent_to_json(p: MultiPoly) -> list:
-    return [{"c": frac_to_json(c), "e": e} for (e,), c in sorted(p.terms.items())]
+    return poly_to_json(p, scalar=True)
 
 
 def laurent_from_json(data, var: str = "z") -> MultiPoly:
-    if not isinstance(data, list):
-        raise FormatError("Laurent polynomial must be an array of terms")
-    terms = {}
-    for t in data:
-        if not isinstance(t, dict) or "c" not in t or "e" not in t:
-            raise FormatError(f"bad Laurent term {t!r}")
-        e = (int_from_json(t["e"], "exponent"),)
-        terms[e] = terms.get(e, Fraction(0)) + frac_from_json(t["c"])
-    return MultiPoly((var,), terms, laurent=True)
+    return poly_from_json((var,), data, laurent=True, scalar=True)
 
 
 # -- matrices ---------------------------------------------------------------
@@ -198,7 +254,9 @@ def filtrations_from_json(data) -> list:
     dim = int_from_json(data["dim"], "dim")
     if dim < 0:
         raise FormatError(f"bad dim {dim}")
-    out = []
+    if dim > DIM_BUDGET:
+        raise FormatError(f"dim {dim} exceeds the dimension budget {DIM_BUDGET}")
+    out, cells = [], 1
     for steps in array_from_json(data["filtrations"], "filtrations"):
         raw = []
         for step in array_from_json(steps, "filtration"):
@@ -213,6 +271,10 @@ def filtrations_from_json(data) -> list:
             out.append(Filtration.make(dim, raw))
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
+        cells *= len(out[-1].steps) + 1
+        if cells > CELL_BUDGET:
+            raise FormatError(f"the first {len(out)} filtrations have more than "
+                              f"{CELL_BUDGET} multi-graded cells, the cell budget")
     return out
 
 

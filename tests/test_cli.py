@@ -2,7 +2,9 @@
 malformed-input handling."""
 import contextlib
 import json
+import random
 import signal
+from fractions import Fraction
 
 import pytest
 
@@ -150,7 +152,21 @@ NONEXTENDABLE = {"schema": 1, "n": 3, "rank": 2, "psi": [
 EXTEND = ser.connection_data_to_json(generate_connection_corpus("cross", 1, seed=2)[0])
 
 
+class Document(dict):
+    """A whole replacement document, for the empty path; its name stands in
+    for it in test ids."""
+
+    def __init__(self, name, doc):
+        super().__init__(doc)
+        self.name = name
+
+    def __repr__(self):
+        return self.name
+
+
 def _with(doc, path, value):
+    if not path:
+        return json.loads(json.dumps(value))
     doc = json.loads(json.dumps(doc))
     *inner, last = path
     target = doc
@@ -158,6 +174,21 @@ def _with(doc, path, value):
         target = target[key]
     target[last] = value
     return doc
+
+
+def _eighteen_lines():
+    """18 one-step filtrations of Q^2 through distinct lines: 2^18 cells."""
+    return Document("18-lines-of-Q2", {"schema": 1, "dim": 2, "filtrations": [
+        [{"j": 1, "basis": [["1", str(i)]]}] for i in range(18)]})
+
+
+def _dim_60():
+    """2 filtrations x 2 steps on a common seeded basis of Q^60."""
+    rng = random.Random(60)
+    basis = [[str(rng.randint(-9, 9)) for _ in range(60)] for _ in range(60)]
+    steps = [[(1, basis[:40]), (2, basis[:20])], [(1, basis[20:]), (2, basis[40:])]]
+    return Document("dim-60", {"schema": 1, "dim": 60, "filtrations": [
+        [{"j": j, "basis": rows} for j, rows in f] for f in steps]})
 
 
 NON_INTEGER_FIELDS = [
@@ -223,12 +254,17 @@ MALFORMED_FIELDS = [
     ("saito-check", SAITO, ["divisor"], [{"c": "1", "e": [10 ** 6, 1]}]),
     ("flat-check", FLAT, ["divisor"], [{"c": "1", "e": [10 ** 6, 1]}]),
     ("football-split", FOOTBALL, ["q"], 10 ** 6),
+    # past the split-filtrations cell and dimension budgets
+    ("split-filtrations", SPLIT, [], _eighteen_lines()),
+    ("split-filtrations", SPLIT, [], _dim_60()),
+    # terms that cancel to the zero divisor
+    ("saito-check", SAITO, ["divisor"], [{"c": "1", "e": [1, 1]}, {"c": "-2/2", "e": [1, 1]}]),
 ]
 BAD_FIELDS = NON_INTEGER_FIELDS + MALFORMED_FIELDS
 
 
 @pytest.mark.parametrize("cmd, doc, path, value", BAD_FIELDS, ids=[
-    f"{cmd}-{[k for k in path if isinstance(k, str)][-1]}-{value!r}"
+    f"{cmd}-{next((k for k in reversed(path) if isinstance(k, str)), 'document')}-{value!r}"
     for cmd, _, path, value in BAD_FIELDS])
 def test_non_integer_fields_exit_two(capsys, cmd, doc, path, value):
     code, _, _ = run(capsys, cmd, json.dumps(doc), "--json")
@@ -319,6 +355,101 @@ def test_split_filtrations_of_4096_cells_within_a_second(capsys):
     assert (code, json.loads(out)["verdict"]) == (1, "not-splittable")
     assert witness["multiIndex"] == [0] * 12
     assert len(witness["dimensionTable"]) == 4096
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_eighteen_lines(), "the first 15 filtrations have more than 16384 multi-graded "
+                        "cells, the cell budget"),
+    (_dim_60(), "dim 60 exceeds the dimension budget 32"),
+], ids=["18-lines-of-Q2", "dim-60"])
+def test_split_filtrations_budgets(capsys, doc, message):
+    with within(1.0):
+        code, out, err = run(capsys, "split-filtrations", json.dumps(doc), "--json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# -- the integer polynomial reader against frac_from_json ----------------------------
+
+COEFFICIENTS = [
+    3, "3", "-6/8", "+3", " 3/4 ", "3 / 4", "007/014", "1.5", "1e3", "1_0", "1__0",
+    "\u0663", "\u0663/\u0664", "\u00b2", "3/\u00b2", "3/-4", "3/+4", "-3/ 4", "- 3",
+    "1/2/3", "0x10", "nan", "inf", "3/0", "0/5", "-0/0", "", "/3", "3/", " ",
+    10 ** 30, "1" * 40 + "/" + "7" * 30, 1.5, 0.0, True, False, None, [1], {"c": 1},
+]
+
+
+def fraction_reader(variables, data, laurent=False):
+    """The reader as it was: a Fraction per coefficient through
+    frac_from_json, summed into a Fraction dict for the MultiPoly
+    constructor."""
+    terms = {}
+    for t in data:
+        e = tuple(t["e"]) if isinstance(t["e"], list) else (t["e"],)
+        terms[e] = terms.get(e, Fraction(0)) + ser.frac_from_json(t["c"])
+    return MultiPoly(tuple(variables), terms, laurent)
+
+
+def read(reader, *args):
+    """The value a reader builds, or the exception type it raises."""
+    try:
+        return reader(*args)
+    except ValueError as exc:           # FormatError included
+        return type(exc)
+
+
+def test_integer_reader_accepts_and_refuses_what_frac_from_json_does():
+    """For each coefficient, alone, beside a term of the same exponent and
+    beside one that cancels it, poly_from_json and laurent_from_json accept
+    exactly the inputs the Fraction reader accepts, with equal values, and
+    refuse the others with FormatError."""
+    xy = ("x", "y")
+    for c in COEFFICIENTS:
+        for extra in ([], [{"c": "1/3", "e": [1, 0]}], [{"c": "-5/2", "e": [0, 2]}],
+                      [{"c": "-3", "e": [1, 0]}]):
+            data = [{"c": c, "e": [1, 0]}, {"c": "5/2", "e": [0, 2]}, *extra]
+            want = read(fraction_reader, xy, data)
+            got = read(ser.poly_from_json, xy, data)
+            assert got == want and type(got) is type(want), (c, extra)
+            scalar = [{"c": t["c"], "e": t["e"][0] - t["e"][1]} for t in data]
+            want = read(fraction_reader, ("z",), scalar, True)
+            got = read(ser.laurent_from_json, scalar)
+            assert got == want and type(got) is type(want), (c, extra)
+
+
+def test_integer_reader_sums_and_cancels_repeated_exponents():
+    x, y = MultiPoly.var(("x", "y"), "x"), MultiPoly.var(("x", "y"), "y")
+    data = [{"c": "1/2", "e": [1, 0]}, {"c": 3, "e": [0, 1]}, {"c": "1/3", "e": [1, 0]},
+            {"c": "-6/2", "e": [0, 1]}, {"c": "1/6", "e": [1, 0]}]
+    p = ser.poly_from_json(("x", "y"), data)
+    assert p == x and p.terms == {(1, 0): 1}
+    assert not ser.poly_from_json(("x", "y"), data[1:4:2])
+    assert ser.poly_from_json(("x", "y"), data[:3]) == x * Fraction(5, 6) + 3 * y
+
+
+def test_negative_exponent_still_escapes_as_value_error():
+    """A negative exponent in a polynomial is still the uncaught ValueError of
+    the saito-negative-exponent known defect, not a FormatError (exit 2)."""
+    with pytest.raises(ValueError, match="negative exponent in MultiPoly") as exc:
+        ser.poly_from_json(("x", "y"), [{"c": "1", "e": [-1, 0]}])
+    assert type(exc.value) is ValueError
+    with pytest.raises(ValueError, match="negative exponent in MultiPoly"):
+        main(["saito-check", json.dumps(_with(SAITO, ["divisor", 0, "e"], [-1, 1])), "--json"])
+
+
+def test_writer_prints_lowest_terms_from_the_integer_map():
+    """poly_to_json and laurent_to_json write what frac_to_json writes for each
+    Fraction coefficient, in ascending exponent order."""
+    rng = random.Random(17)
+    for _ in range(40):
+        terms = {(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-40, 40),
+                                                                  rng.choice((1, 1, 2, 6, 35)))
+                 for _ in range(rng.randint(0, 6))}
+        p = MultiPoly(("x", "y"), terms)
+        assert ser.poly_to_json(p) == [{"c": ser.frac_to_json(c), "e": list(e)}
+                                       for e, c in sorted(p.terms.items())]
+        q = MultiPoly(("z",), {(a - b,): c for (a, b), c in terms.items()}, laurent=True)
+        assert ser.laurent_to_json(q) == [{"c": ser.frac_to_json(c), "e": e}
+                                          for (e,), c in sorted(q.terms.items())]
 
 
 def test_jc_computes_one_characteristic_polynomial(capsys, monkeypatch):

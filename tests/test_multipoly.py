@@ -4,12 +4,14 @@ certificate of reducedness against the exact squarefree part, and the
 integer kernels against the Fraction oracles of tests/_oracles.py."""
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from _oracles import (fraction_divmod, fraction_exact_div, fraction_gcd,
                       fraction_normalize, fraction_poly_mul)
 from logflat import multipoly
+from logflat.castling import minor_product_divisor, minor_product_variables
 from logflat.multipoly import MultiPoly, gcd, is_reduced, normalize, squarefree_part
 from logflat.saito import SaitoSystem, VectorField, saito_check
 
@@ -347,6 +349,129 @@ def test_gcd_and_normalize_match_the_fraction_oracle():
     for _ in range(6):
         a, b, g = (rand_oracle_poly(rng, 4, False, nterms=2) for _ in range(3))
         assert gcd(a * g, b * g).terms == fraction_gcd((a * g).terms, (b * g).terms, 4)
+
+
+# -- the heuristic gcd against the primitive PRS ------------------------------------
+
+XY_X, XY_Y = (MultiPoly.var(XY, v) for v in XY)
+
+
+def braid_factors(n):
+    """The n(n-1)/2 hyperplanes x_i - x_j of the braid arrangement A_{n-1}."""
+    vs = tuple(f"x{i}" for i in range(n))
+    x = [MultiPoly.var(vs, v) for v in vs]
+    return [x[i] - x[j] for i in range(n) for j in range(i + 1, n)]
+
+
+def coxeter_b_factors(n):
+    """The n^2 hyperplanes x_i and x_i -+ x_j of the Coxeter arrangement B_n."""
+    vs = tuple(f"x{i}" for i in range(n))
+    x = [MultiPoly.var(vs, v) for v in vs]
+    return x + [x[i] + s * x[j] for i in range(n) for j in range(i + 1, n) for s in (1, -1)]
+
+
+def heuristic(f, g):
+    """The heuristic gcd alone, normalized; None when it gives up."""
+    h = multipoly._heuristic_gcd(f.vars, f._num, g._num)
+    return None if h is None else normalize(MultiPoly(f.vars, h))
+
+
+def test_heuristic_gcd_equals_the_prs_on_seeded_inputs():
+    """Coprime pairs, pairs with integer content and rational scalars, and a
+    shared factor, in two to four variables: the heuristic answers, and its
+    normalized gcd is exactly the PRS's."""
+    rng = random.Random(34)
+    coprime = shared = 0
+    for _ in range(30):
+        dim = rng.randint(2, 4)
+        a, b, g = (MultiPoly(VS4[:dim], {
+            tuple(rng.randint(0, 2) for _ in range(dim)): rng.randint(-9, 9)
+            for _ in range(rng.randint(2, 4))}) for _ in range(3))
+        if not (a and b and g) or a.is_constant() or b.is_constant():
+            continue
+        pairs = [(a, b),                                              # coprime or not
+                 (a * g * 6, b * g * 10),                             # integer content 2
+                 (a * g * Fraction(3, 7), b * g * Fraction(-5, 4))]   # rational scalars
+        for f, h in pairs:
+            want = multipoly._prs_gcd(f, h)
+            assert heuristic(f, h) == want == gcd(f, h)
+            coprime += want.is_constant()
+            shared += not want.is_constant()
+    assert coprime >= 15 and shared >= 60
+
+
+def sextic_factors():
+    """The three 2 x 2 minors whose product is the minor-product sextic."""
+    vs = minor_product_variables(3)
+    v = {name: MultiPoly.var(vs, name) for name in vs}
+    return [v[a + "1"] * v[b + "2"] - v[a + "2"] * v[b + "1"]
+            for a, b in ("uv", "vw", "wu")]
+
+
+@pytest.mark.parametrize("factors", [braid_factors(3), braid_factors(4), coxeter_b_factors(3),
+                                     sextic_factors()],
+                         ids=["braid3", "braid4", "B3", "sextic"])
+def test_heuristic_gcd_on_the_free_divisors(factors):
+    """gcd(f, df/dv) for a free divisor f, for f with one factor squared, and
+    for two products sharing all but one factor each: the heuristic answers
+    and agrees with the PRS, and the squarefree part removes the square."""
+    f = prod(factors)
+    squared = f * factors[-1]
+    cases = [(p, p.derivative(v)) for p in (f, squared) for v in f.vars]
+    cases.append((prod(factors[1:]), prod(factors[:-1])))
+    for p, q in cases:
+        want = multipoly._prs_gcd(p, q)
+        assert heuristic(p, q) == want == gcd(p, q)
+    assert squarefree_part(squared) == (normalize(f), False)
+    assert squarefree_part(f) == (normalize(f), True)
+
+
+def test_sextic_factors_multiply_to_the_minor_product_divisor():
+    assert prod(sextic_factors()) == minor_product_divisor(3)
+
+
+def test_heuristic_gcd_rejects_a_wrong_candidate(monkeypatch):
+    """Started at the top level from xi = 11, below 2 min(|f|, |g|) + 29 =
+    133 (the inner levels keep their own start), the first candidate's
+    digits overflow: y^2 - 3x - y - 2 does not divide the inputs and is
+    rejected, xi grows to 30 by 73794/27011, and the second candidate is the
+    gcd 3x - 11y + 13 that the PRS finds."""
+    f, g = 7 * XY_X * XY_X + 5 * XY_Y, XY_X - 4 * XY_Y * XY_Y
+    d = 3 * XY_X - 11 * XY_Y + 13
+    start, digits, candidates = multipoly._heuristic_start, multipoly._symmetric_digits, []
+
+    def top_level_start(a, b):
+        return 11 if len(next(iter(a))) == 2 else start(a, b)
+
+    def recording(gamma, xi):
+        cand = digits(gamma, xi)
+        if len(next(iter(cand))) == 2:
+            candidates.append((xi, normalize(MultiPoly(XY, cand))))
+        return cand
+
+    monkeypatch.setattr(multipoly, "_heuristic_start", top_level_start)
+    monkeypatch.setattr(multipoly, "_symmetric_digits", recording)
+    assert start((f * d)._num, (g * d)._num) == 133
+    assert heuristic(f * d, g * d) == multipoly._prs_gcd(f * d, g * d) == d
+    assert candidates == [(11, XY_Y * XY_Y - 3 * XY_X - XY_Y - 2), (30, d)]
+
+
+def test_gcd_falls_back_to_the_prs_past_the_bit_budget(monkeypatch):
+    """xi^deg past HEURISTIC_GCD_BITS ends the heuristic at once, and the PRS
+    decides: on a real input of degree 3000 in the evaluated variable, and on
+    the braid divisor under a budget lowered to 8 bits."""
+    calls = []
+    prs = multipoly._prs_gcd
+    monkeypatch.setattr(multipoly, "_prs_gcd", lambda f, g: calls.append(f) or prs(f, g))
+    f = (XY_X * 2**20 + XY_Y ** 3000) * (XY_X + XY_Y)
+    g = (XY_X * 2**20 - XY_Y ** 3000) * (XY_X + XY_Y)
+    assert heuristic(f, g) is None
+    assert gcd(f, g) == XY_X + XY_Y and len(calls) == 1
+    braid = prod(braid_factors(4))
+    want = gcd(braid, braid.derivative("x0"))
+    monkeypatch.setattr(multipoly, "HEURISTIC_GCD_BITS", 8)
+    assert heuristic(braid, braid.derivative("x0")) is None
+    assert gcd(braid, braid.derivative("x0")) == want and len(calls) >= 2
 
 
 def test_univariate_divmod_matches_the_fraction_oracle():
